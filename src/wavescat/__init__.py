@@ -2,7 +2,6 @@
 for two-channel LFP recordings, with a synthetic cohort generator and a
 batch CLI."""
 
-from ._kernels import NUMBA_ENABLED
 from .coherence import (CoherenceMap, SmoothingSpec, coherence,
                         cross_spectrum, phase_overlay)
 from .cwt import Scalogram, cwt, scalogram_magnitude
@@ -19,8 +18,11 @@ from .synth import SynthSpec, generate_cohort, generate_session
 
 __version__ = "0.1.0"
 
+# Read by result records that note the kernel path; there is only one.
+NUMBA_ENABLED = False
+
 __all__ = [
-    "NUMBA_ENABLED", "__version__",
+    "__version__",
     "BundleFormatError", "DataError", "NumericalError",
     "Chamber", "Channel", "Group", "Phase", "PositionSample",
     "RecordingSession", "Segment", "TimeSeries",

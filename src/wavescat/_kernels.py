@@ -1,43 +1,12 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
-
-The numba path is used when numba imports cleanly and the environment
-variable ``WAVESCAT_DISABLE_NUMBA`` is unset (or set to something other
-than 1/true/yes). Both paths satisfy the same contracts; the selected
-implementation is exported under the un-prefixed name. Benchmarks and
-equivalence tests reach the ``_py`` / ``_nb`` handles directly.
-"""
-
-import os
+"""Hot numeric kernels: coherence smoothing, the CART split scan and the
+linear SVM dual solver, each one vectorized numpy implementation."""
 
 import numpy as np
 
 
-def _numba_requested() -> bool:
-    flag = os.environ.get("WAVESCAT_DISABLE_NUMBA", "").strip().lower()
-    return flag not in ("1", "true", "yes")
-
-
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
-
-if not NUMBA_ENABLED:
-    def njit(*args, **kwargs):  # pragma: no cover - identity decorator
-        if args and callable(args[0]):
-            return args[0]
-        return lambda fn: fn
-
-
-# ---------------------------------------------------------------------------
-# Periodic boxcar along time (axis 1), one integer width per row.
-# ---------------------------------------------------------------------------
-
-def _boxcar_time_py(mat, widths):
+def boxcar_time(mat, widths):
+    """Per-row periodic moving average along axis 1."""
+    widths = np.asarray(widths, dtype=np.int64)
     out = np.empty_like(mat)
     n = mat.shape[1]
     for j in range(mat.shape[0]):
@@ -53,30 +22,8 @@ def _boxcar_time_py(mat, widths):
     return out
 
 
-def _boxcar_time_loop(mat, widths, out):
-    n = mat.shape[1]
-    for j in range(mat.shape[0]):
-        w = int(widths[j])
-        if w <= 1:
-            for t in range(n):
-                out[j, t] = mat[j, t]
-            continue
-        lo = (w - 1) // 2
-        acc = mat[j, 0] * 0
-        for k in range(-lo, w - lo):
-            acc += mat[j, k % n]
-        out[j, 0] = acc / w
-        for t in range(1, n):
-            acc += mat[j, (t + w - 1 - lo) % n] - mat[j, (t - 1 - lo) % n]
-            out[j, t] = acc / w
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Truncated boxcar across scales (axis 0), renormalized at the edges.
-# ---------------------------------------------------------------------------
-
-def _boxcar_scale_py(mat, width):
+def boxcar_scale(mat, width):
+    """Truncated moving average across rows, edge-renormalized."""
     w = int(width)
     if w <= 1:
         return mat.copy()
@@ -93,34 +40,13 @@ def _boxcar_scale_py(mat, width):
     return out
 
 
-def _boxcar_scale_loop(mat, width, out):
-    m, n = mat.shape
-    w = int(width)
-    if w <= 1:
-        for j in range(m):
-            for t in range(n):
-                out[j, t] = mat[j, t]
-        return out
-    lo = (w - 1) // 2
-    hi = w // 2
-    for j in range(m):
-        a = max(0, j - lo)
-        b = min(m, j + hi + 1)
-        for t in range(n):
-            acc = mat[a, t] * 0
-            for k in range(a, b):
-                acc += mat[k, t]
-            out[j, t] = acc / (b - a)
-    return out
+def best_split_column(values_sorted, classes_sorted, n_classes, min_leaf=1):
+    """Best Gini split of one pre-sorted feature column.
 
-
-# ---------------------------------------------------------------------------
-# CART: best threshold for one feature column (Gini impurity).
-# Candidates are midpoints between consecutive distinct sorted values;
-# ties resolve to the lowest threshold. Returns (gain, threshold, ok).
-# ---------------------------------------------------------------------------
-
-def _best_split_column_py(values_sorted, classes_sorted, n_classes, min_leaf):
+    Candidates are midpoints between consecutive distinct sorted values;
+    ties resolve to the lowest threshold. Returns (gain, threshold, ok).
+    """
+    min_leaf = int(min_leaf)
     n = values_sorted.shape[0]
     change = np.nonzero(values_sorted[:-1] != values_sorted[1:])[0]
     change = change[(change + 1 >= min_leaf) & (n - change - 1 >= min_leaf)]
@@ -144,50 +70,6 @@ def _best_split_column_py(values_sorted, classes_sorted, n_classes, min_leaf):
     return float(gains[best]), float(thr), True
 
 
-def _best_split_column_loop(values_sorted, classes_sorted, n_classes, min_leaf,
-                            left_counts, total_counts):
-    n = values_sorted.shape[0]
-    for c in range(n_classes):
-        left_counts[c] = 0
-        total_counts[c] = 0
-    for i in range(n):
-        total_counts[classes_sorted[i]] += 1
-    parent = 1.0
-    for c in range(n_classes):
-        p = total_counts[c] / n
-        parent -= p * p
-    best_gain = -1.0
-    best_thr = 0.0
-    found = False
-    for i in range(n - 1):
-        left_counts[classes_sorted[i]] += 1
-        if values_sorted[i] == values_sorted[i + 1]:
-            continue
-        if i + 1 < min_leaf or n - i - 1 < min_leaf:
-            continue
-        n_left = i + 1
-        n_right = n - n_left
-        gl = 1.0
-        gr = 1.0
-        for c in range(n_classes):
-            pl = left_counts[c] / n_left
-            pr = (total_counts[c] - left_counts[c]) / n_right
-            gl -= pl * pl
-            gr -= pr * pr
-        gain = parent - (n_left / n) * gl - (n_right / n) * gr
-        if gain > best_gain:
-            best_gain = gain
-            best_thr = 0.5 * (values_sorted[i] + values_sorted[i + 1])
-            found = True
-    return best_gain, best_thr, found
-
-
-# ---------------------------------------------------------------------------
-# Linear SVM dual solvers on augmented features (bias is the last,
-# regularized column). Both stop on relative duality gap <= tol or on the
-# epoch limit and return (w, alpha, gap, n_epochs).
-# ---------------------------------------------------------------------------
-
 def _svm_gap(X, y, c_i, alpha, w):
     margins = 1.0 - y * (X @ w)
     hinge = np.where(margins > 0.0, margins, 0.0)
@@ -197,60 +79,16 @@ def _svm_gap(X, y, c_i, alpha, w):
     return (primal - dual) / (1.0 + abs(primal))
 
 
-def _svm_dual_cd_loop(X, y, c_i, tol, max_epochs, alpha, w):
-    n, d = X.shape
-    qdiag = np.empty(n)
-    for i in range(n):
-        s = 0.0
-        for k in range(d):
-            s += X[i, k] * X[i, k]
-        qdiag[i] = s
-    epochs = 0
-    gap = np.inf
-    for ep in range(max_epochs):
-        epochs += 1
-        for i in range(n):
-            if qdiag[i] <= 0.0:
-                continue
-            g = 0.0
-            for k in range(d):
-                g += w[k] * X[i, k]
-            g = y[i] * g - 1.0
-            a_old = alpha[i]
-            a_new = a_old - g / qdiag[i]
-            if a_new < 0.0:
-                a_new = 0.0
-            elif a_new > c_i[i]:
-                a_new = c_i[i]
-            if a_new != a_old:
-                step = (a_new - a_old) * y[i]
-                for k in range(d):
-                    w[k] += step * X[i, k]
-                alpha[i] = a_new
-        if (ep + 1) % 10 != 0 and ep + 1 != max_epochs:
-            continue  # the gap pass costs a full sweep; sample it
-        wsq = 0.0
-        for k in range(d):
-            wsq += w[k] * w[k]
-        primal = 0.5 * wsq
-        for i in range(n):
-            m = 0.0
-            for k in range(d):
-                m += w[k] * X[i, k]
-            h = 1.0 - y[i] * m
-            if h > 0.0:
-                primal += c_i[i] * h
-        dual = -0.5 * wsq
-        for i in range(n):
-            dual += alpha[i]
-        gap = (primal - dual) / (1.0 + abs(primal))
-        if gap <= tol:
-            break
-    return gap, epochs
+def svm_dual_solve(X, y, c_i, tol, max_epochs):
+    """Solve the soft-margin linear SVM dual on augmented features.
 
-
-def _svm_dual_pg_py(X, y, c_i, tol, max_epochs, alpha, w):
-    # projected gradient on the box-constrained dual, vectorized over samples
+    The bias is the last, regularized column of ``X``. Projected
+    gradient on the box-constrained dual, vectorized over samples; stops
+    on relative duality gap <= tol or on the epoch limit. Returns
+    (w, alpha, gap, epochs).
+    """
+    alpha = np.zeros(X.shape[0])
+    w = np.zeros(X.shape[1])
     v = np.ones(X.shape[0])
     for _ in range(30):
         v = X @ (X.T @ v)
@@ -262,65 +100,12 @@ def _svm_dual_pg_py(X, y, c_i, tol, max_epochs, alpha, w):
     step = 1.0 / lip
     epochs = 0
     gap = np.inf
-    for _ in range(max_epochs):
+    for _ in range(int(max_epochs)):
         epochs += 1
         grad = 1.0 - y * (X @ w)
-        alpha[:] = np.clip(alpha + step * grad, 0.0, c_i)
-        w[:] = X.T @ (alpha * y)
+        alpha = np.clip(alpha + step * grad, 0.0, c_i)
+        w = X.T @ (alpha * y)
         gap = _svm_gap(X, y, c_i, alpha, w)
         if gap <= tol:
             break
-    return gap, epochs
-
-
-if NUMBA_ENABLED:
-    _boxcar_time_nb = njit(cache=True)(_boxcar_time_loop)
-    _boxcar_scale_nb = njit(cache=True)(_boxcar_scale_loop)
-    _best_split_column_nb = njit(cache=True)(_best_split_column_loop)
-    _svm_dual_cd_nb = njit(cache=True)(_svm_dual_cd_loop)
-
-
-def boxcar_time(mat, widths):
-    """Per-row periodic moving average along axis 1."""
-    widths = np.asarray(widths, dtype=np.int64)
-    if NUMBA_ENABLED:
-        out = np.empty_like(mat)
-        return _boxcar_time_nb(mat, widths, out)
-    return _boxcar_time_py(mat, widths)
-
-
-def boxcar_scale(mat, width):
-    """Truncated moving average across rows, edge-renormalized."""
-    if NUMBA_ENABLED and mat.ndim == 2:
-        out = np.empty_like(mat)
-        return _boxcar_scale_nb(mat, int(width), out)
-    return _boxcar_scale_py(mat, int(width))
-
-
-def best_split_column(values_sorted, classes_sorted, n_classes, min_leaf=1):
-    """Best Gini split of one pre-sorted feature column."""
-    if NUMBA_ENABLED:
-        left = np.zeros(n_classes, dtype=np.int64)
-        tot = np.zeros(n_classes, dtype=np.int64)
-        return _best_split_column_nb(values_sorted, classes_sorted,
-                                     n_classes, int(min_leaf), left, tot)
-    return _best_split_column_py(values_sorted, classes_sorted, n_classes,
-                                 int(min_leaf))
-
-
-def svm_dual_solve(X, y, c_i, tol, max_epochs):
-    """Solve the soft-margin linear SVM dual on augmented features.
-
-    Returns (w, alpha, gap, epochs). The numba path runs coordinate
-    descent; the numpy path runs projected gradient. Both terminate on
-    the same relative duality-gap criterion, so they agree on w up to
-    the requested gap.
-    """
-    n = X.shape[0]
-    alpha = np.zeros(n)
-    w = np.zeros(X.shape[1])
-    if NUMBA_ENABLED:
-        gap, epochs = _svm_dual_cd_nb(X, y, c_i, tol, int(max_epochs), alpha, w)
-    else:
-        gap, epochs = _svm_dual_pg_py(X, y, c_i, tol, int(max_epochs), alpha, w)
     return w, alpha, float(gap), int(epochs)

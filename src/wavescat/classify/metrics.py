@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..csvfile import write_csv
 from ..errors import DataError
 
 
@@ -59,18 +60,13 @@ def confusion_to_csv(m: ConfusionMatrix, path, config_line: str = "") -> None:
     """Counts with class-name header row/column, TPR/FNR columns and a
     micro/macro footer row."""
     stats = confusion_stats(m)
-    with open(path, "w", newline="\n") as fh:
-        if config_line:
-            fh.write(f"# wavescat-config: {config_line}\n")
-        fh.write(",".join(["class"] + m.class_names + ["tpr_pct", "fnr_pct"]))
-        fh.write("\n")
-        for i, name in enumerate(m.class_names):
-            cells = [name] + [str(int(v)) for v in m.counts[i]]
-            cells += [repr(float(stats["tpr"][i])), repr(float(stats["fnr"][i]))]
-            fh.write(",".join(cells))
-            fh.write("\n")
-        fh.write(f"micro_accuracy,{stats['micro']!r},"
-                 f"macro_accuracy,{stats['macro']!r}\n")
+    rows = [[name] + counts + [tpr, fnr] for name, counts, tpr, fnr in zip(
+        m.class_names, m.counts.tolist(), stats["tpr"].tolist(),
+        stats["fnr"].tolist())]
+    rows.append(["micro_accuracy", stats["micro"],
+                 "macro_accuracy", stats["macro"]])
+    write_csv(path, ["class"] + m.class_names + ["tpr_pct", "fnr_pct"], rows,
+              config_line)
 
 
 def confusion_from_counts_csv(path) -> ConfusionMatrix:

@@ -2,10 +2,14 @@
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 4 numerical failure. Every option can also come from a ``key=value``
-config file (``--config``); explicit flags win. All outputs embed the
-resolved configuration in a ``# wavescat-config:`` header line and are
-written atomically (temp file + rename), so re-running a command with
-the same configuration reproduces every output byte for byte.
+config file (``--config``); explicit flags win. ``OPTIONS`` lists each
+option once and generates the flags, the ``--help`` defaults and the
+config-file casts. A config key must name an option of some command;
+keys of other commands are ignored, so one file can serve every
+command. All outputs embed the resolved configuration in a
+``# wavescat-config:`` header line and are written atomically (temp
+file + rename), so re-running a command with the same configuration
+reproduces every output byte for byte.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import argparse
 import glob
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +26,7 @@ from .classify import (Dataset, TrainerConfig, confusion_from_counts_csv,
                        confusion_stats, confusion_to_csv, run_kfold,
                        train_tree, tree_complexity)
 from .coherence import SmoothingSpec, coherence, phase_overlay, overlay_to_csv
+from .csvfile import write_csv
 from .cwt import cwt, next_pow2, scalogram_magnitude, scalogram_to_csv
 from .errors import DataError, NumericalError
 from .model import Channel, Group, Phase
@@ -31,39 +37,159 @@ from .pipeline import (BankConfig, chamber_dataset, cwt_table,
 from .scattering import ScatteringParams
 from .synth import SynthSpec, generate_cohort
 
-BUILTIN = {
-    "delta": 0.8, "session_len": 60.0, "fs": 1000.0,
-    "rats_saline": 7, "rats_morphine": 6, "rats_food": 6,
-    "window": 1.0, "hop": 0.5,
-    "fmin": 1.0, "fmax": 100.0, "voices": 10, "gamma": 3.0, "tb": 60.0,
-    "c_t": 2.0, "c_s": 0.6,
-    "t": 0.5, "q1": 8, "q2": 1,
-    "k": 10, "model": "dt", "source": "all", "group": "all", "phase": "post",
-    "max_depth": 12, "min_leaf": 1, "hidden": "64", "epochs": 300,
-    "learning_rate": 0.1,
-    "c": 1.0, "tol": 1e-3, "max_iter": 300,
-    "threshold": 0.5, "channel": "hip",
-}
+_ALL = ("synth", "features", "chambers", "joint", "report")
+_DATA = ("features", "chambers", "joint", "report")
+_WINDOW = ("features", "chambers", "joint")
+_BANK = ("features", "chambers", "report")
+_MORSE = _BANK + ("joint",)
+_SCATTER = ("features", "joint")
+
+
+class UsageError(Exception):
+    """A usage or configuration mistake: exit 2 with a one-line message."""
+
+
+def _boolean(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _sizes(text: str) -> str:
+    """Comma-separated layer sizes, checked but kept as the text that
+    the config line records."""
+    for size in filter(None, text.split(",")):
+        int(size)
+    return text
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option: the flag ``--name`` (``_`` written ``-``) and the
+    config-file key ``name``."""
+
+    name: str
+    type: object                 # float, int, str, bool or a str validator
+    default: object
+    help: str
+    commands: tuple
+    choices: tuple | dict = ()   # a dict maps a command to its choices
+    required: tuple = ()         # commands that need a value
+    record: str = "always"       # in the config line: always | set | never
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def cast(self, text: str):
+        return (_boolean if self.type is bool else self.type)(text)
+
+    def choices_for(self, command: str) -> tuple:
+        if isinstance(self.choices, dict):
+            return self.choices.get(command, ())
+        return self.choices
+
+
+OPTIONS = {o.name: o for o in (
+    Option("seed", int, None, "random seed", _ALL,
+           required=("synth", "chambers", "joint"), record="set"),
+    Option("out", str, None, "output directory", _ALL,
+           required=_ALL, record="never"),
+    Option("data", str, None, "directory of .wscat bundles", _DATA,
+           required=("features", "chambers", "report"), record="never"),
+    Option("delta", float, 0.8, "separability in [0,1]", ("synth",)),
+    Option("session_len", float, 60.0, "session length, s", ("synth",)),
+    Option("fs", float, 1000.0, "sampling rate, Hz", ("synth",)),
+    Option("rats_saline", int, 7, "saline cohort size", ("synth",)),
+    Option("rats_morphine", int, 6, "morphine cohort size", ("synth",)),
+    Option("rats_food", int, 6, "food cohort size", ("synth",)),
+    Option("channel", str, "hip", "channel for kind=cwt", ("features",),
+           choices=("hip", "nac")),
+    Option("window", float, 1.0, "segment length, s", _WINDOW),
+    Option("hop", float, 0.5, "segment hop, s", _WINDOW),
+    Option("fmin", float, 1.0, "lowest center frequency, Hz", _BANK),
+    Option("fmax", float, 100.0, "highest center frequency, Hz", _MORSE),
+    Option("voices", int, 10, "voices per octave", _BANK),
+    Option("gamma", float, 3.0, "Morse symmetry", _MORSE),
+    Option("tb", float, 60.0, "Morse time-bandwidth product", _BANK),
+    Option("c_t", float, 2.0, "time smoothing, cycles", _BANK),
+    Option("c_s", float, 0.6, "scale smoothing, octaves", _BANK),
+    Option("t", float, 0.5, "scattering invariance, s", _SCATTER),
+    Option("q1", int, 8, "layer-1 voices per octave", _SCATTER),
+    Option("q2", int, 1, "layer-2 voices per octave", _SCATTER),
+    Option("model", str, "dt", "classifier", ("chambers",),
+           choices=("dt", "mlp")),
+    Option("source", str, "all", "feature source", ("chambers",),
+           choices=("hip", "nac", "wcoh", "all")),
+    Option("group", str, "all", "treatment group", ("chambers",),
+           choices=("food", "morphine", "saline", "all")),
+    Option("phase", str, "post", "session phase", ("chambers", "report"),
+           choices={"chambers": ("pre", "post", "both"),
+                    "report": ("pre", "post")}),
+    Option("k", int, 10, "folds", ("chambers", "joint")),
+    Option("per_rat", bool, False,
+           "hold out whole rats instead of stratifying", ("chambers",)),
+    Option("max_depth", int, 12, "DT depth limit", ("chambers",)),
+    Option("min_leaf", int, 1, "DT minimum leaf size", ("chambers",)),
+    Option("hidden", _sizes, "64", "MLP hidden sizes, comma separated",
+           ("chambers",)),
+    Option("epochs", int, 300, "MLP epochs", ("chambers",)),
+    Option("learning_rate", float, 0.1, "MLP learning rate", ("chambers",)),
+    Option("shuffle_labels", bool, False,
+           "seeded label permutation (chance-level control)", ("joint",),
+           record="set"),
+    Option("stats_from", str, None,
+           "skip the pipeline; recompute stats from a counts CSV",
+           ("joint",), record="never"),
+    Option("c", float, 1.0, "SVM penalty C", ("joint",)),
+    Option("tol", float, 1e-3, "SVM duality-gap tolerance", ("joint",)),
+    Option("max_iter", int, 300, "SVM epoch limit", ("joint",)),
+    Option("rat", str, None, "rat id, e.g. rat14; unset takes the first "
+           "in sort order", ("report",), record="never"),
+    Option("threshold", float, 0.5,
+           "coherence threshold for the phase overlay", ("report",)),
+)}
 
 
 class Config:
-    """Flag > config-file > built-in resolution with a reproducible dump."""
+    """Flag > config file > table default. ``get`` records what a command
+    reads, so ``line`` reproduces the run."""
 
-    def __init__(self, args, file_values, command):
+    def __init__(self, args, file_values):
         self.args = args
-        self.file_values = file_values
-        self.command = command
+        self.command = args.command
+        self.file_values = {}
+        for key, (text, where) in file_values.items():
+            opt = OPTIONS[key]
+            if self.command not in opt.commands:
+                continue                # another command's key
+            try:
+                value = opt.cast(text)
+            except ValueError as exc:
+                raise UsageError(f"{where}: {key}={text}: {exc}") from None
+            choices = opt.choices_for(self.command)
+            if choices and value not in choices:
+                raise UsageError(f"{where}: {key}={text}: not one of "
+                                 f"{', '.join(choices)}")
+            self.file_values[key] = value
+        for opt in OPTIONS.values():
+            if (self.command in opt.required
+                    and getattr(args, opt.name) is None
+                    and opt.name not in self.file_values):
+                raise UsageError(f"{opt.flag} is required")
         self.resolved = {}
 
-    def get(self, key, cast=str):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            value = flag
-        elif key in self.file_values:
-            value = cast(self.file_values[key])
-        else:
-            value = BUILTIN[key]
-        self.resolved[key] = value
+    def get(self, key):
+        opt = OPTIONS[key]
+        value = getattr(self.args, key)
+        if value is None:
+            value = self.file_values.get(key, opt.default)
+        if opt.record == "always" or (opt.record == "set"
+                                      and value != opt.default):
+            self.resolved[key] = value
         return value
 
     def line(self) -> str:
@@ -73,19 +199,28 @@ class Config:
 
 
 def _load_config_file(path):
+    """``key=value`` lines; ``#`` comments and blank lines are skipped.
+    Every key must name an option of some command."""
     values = {}
     try:
         with open(path) as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"bad config line {line!r}")
-                key, val = line.split("=", 1)
-                values[key.strip().replace("-", "_")] = val.strip()
-    except OSError as exc:
-        raise SystemExit(f"cannot read config file: {exc}") from exc
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file: {exc}") from None
+    for number, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path} line {number}"
+        key, sep, val = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if not sep or not key:
+            raise UsageError(f"{where}: expected key=value, got {line!r}")
+        if key not in OPTIONS:
+            raise UsageError(f"{where}: unknown key {key!r}")
+        if not val.strip():
+            raise UsageError(f"{where}: {key} has no value")
+        values[key] = (val.strip(), where)
     return values
 
 
@@ -103,18 +238,19 @@ def _bundle_paths(data_dir):
 
 
 def _bank_config(cfg: Config) -> BankConfig:
-    return BankConfig(gamma=cfg.get("gamma", float),
-                      time_bandwidth=cfg.get("tb", float),
-                      voices_per_octave=cfg.get("voices", int),
-                      fmin=cfg.get("fmin", float),
-                      fmax=cfg.get("fmax", float))
+    return BankConfig(gamma=cfg.get("gamma"), time_bandwidth=cfg.get("tb"),
+                      voices_per_octave=cfg.get("voices"),
+                      fmin=cfg.get("fmin"), fmax=cfg.get("fmax"))
+
+
+def _smoothing(cfg: Config) -> SmoothingSpec:
+    return SmoothingSpec(c_t=cfg.get("c_t"), c_s=cfg.get("c_s"))
 
 
 def _scatter_params(cfg: Config, fs: float) -> ScatteringParams:
-    return ScatteringParams(t=cfg.get("t", float), q1=cfg.get("q1", int),
-                            q2=cfg.get("q2", int), fs=fs,
-                            fmax=cfg.get("fmax", float),
-                            gamma=cfg.get("gamma", float))
+    return ScatteringParams(t=cfg.get("t"), q1=cfg.get("q1"),
+                            q2=cfg.get("q2"), fs=fs, fmax=cfg.get("fmax"),
+                            gamma=cfg.get("gamma"))
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +259,15 @@ def _scatter_params(cfg: Config, fs: float) -> ScatteringParams:
 
 def cmd_synth(cfg: Config):
     spec = SynthSpec(
-        rats_saline=cfg.get("rats_saline", int),
-        rats_morphine=cfg.get("rats_morphine", int),
-        rats_food=cfg.get("rats_food", int),
-        session_len=cfg.get("session_len", float),
-        fs=cfg.get("fs", float),
-        delta=cfg.get("delta", float),
-        seed=cfg.get("seed", int),
+        rats_saline=cfg.get("rats_saline"),
+        rats_morphine=cfg.get("rats_morphine"),
+        rats_food=cfg.get("rats_food"),
+        session_len=cfg.get("session_len"),
+        fs=cfg.get("fs"),
+        delta=cfg.get("delta"),
+        seed=cfg.get("seed"),
     )
-    out = cfg.args.out
+    out = cfg.get("out")
     paths = generate_cohort(spec, out)
     print(f"wrote {len(paths)} bundles to {out}")
     return 0
@@ -139,80 +275,73 @@ def cmd_synth(cfg: Config):
 
 def cmd_features(cfg: Config):
     kind = cfg.args.kind
-    sessions = load_sessions(_bundle_paths(cfg.args.data))
-    window, hop = cfg.get("window", float), cfg.get("hop", float)
-    os.makedirs(cfg.args.out, exist_ok=True)
+    sessions = load_sessions(_bundle_paths(cfg.get("data")))
+    window, hop = cfg.get("window"), cfg.get("hop")
+    out_dir = cfg.get("out")
+    os.makedirs(out_dir, exist_ok=True)
     if kind == "cwt":
-        channel = Channel.HIP if cfg.get("channel") == "hip" else Channel.NAC
+        channel = Channel(cfg.get("channel"))
         table = cwt_table(sessions, channel, window, hop, _bank_config(cfg))
-        name = f"features_cwt_{cfg.resolved['channel']}.csv"
+        name = f"features_cwt_{channel.value}.csv"
     elif kind == "wcoh":
-        spec = SmoothingSpec(c_t=cfg.get("c_t", float),
-                             c_s=cfg.get("c_s", float))
-        table = wcoh_table(sessions, window, hop, _bank_config(cfg), spec)
+        table = wcoh_table(sessions, window, hop, _bank_config(cfg),
+                           _smoothing(cfg))
         name = "features_wcoh.csv"
     else:
         params = _scatter_params(cfg, sessions[0].fs)
         table = scatter_table(sessions, window, hop, params)
         name = "features_scatter.csv"
-    path = os.path.join(cfg.args.out, name)
+    path = os.path.join(out_dir, name)
     _atomic(path, lambda p: table_to_csv(table, p, cfg.line()))
     print(f"wrote {table.matrix.shape[0]} feature rows to {path}")
     return 0
 
 
 def _chambers_trainer(cfg: Config) -> TrainerConfig:
-    model = cfg.get("model")
-    if model == "dt":
-        return TrainerConfig(kind="dt", max_depth=cfg.get("max_depth", int),
-                             min_leaf=cfg.get("min_leaf", int))
-    hidden = tuple(int(h) for h in str(cfg.get("hidden")).split(",") if h)
-    return TrainerConfig(kind="mlp", hidden=hidden,
-                         epochs=cfg.get("epochs", int),
-                         learning_rate=cfg.get("learning_rate", float))
+    if cfg.get("model") == "dt":
+        return TrainerConfig(kind="dt", max_depth=cfg.get("max_depth"),
+                             min_leaf=cfg.get("min_leaf"))
+    hidden = tuple(int(h) for h in cfg.get("hidden").split(",") if h)
+    return TrainerConfig(kind="mlp", hidden=hidden, epochs=cfg.get("epochs"),
+                         learning_rate=cfg.get("learning_rate"))
 
 
 def cmd_chambers(cfg: Config):
-    sessions = load_sessions(_bundle_paths(cfg.args.data))
-    window, hop = cfg.get("window", float), cfg.get("hop", float)
+    sessions = load_sessions(_bundle_paths(cfg.get("data")))
+    window, hop = cfg.get("window"), cfg.get("hop")
     bank_cfg = _bank_config(cfg)
-    seed, k = cfg.get("seed", int), cfg.get("k", int)
+    seed, k = cfg.get("seed"), cfg.get("k")
     trainer = _chambers_trainer(cfg)
-    phase_tok = cfg.get("phase")
     phases = {"pre": (Phase.PRE,), "post": (Phase.POST,),
-              "both": (Phase.PRE, Phase.POST)}[phase_tok]
+              "both": (Phase.PRE, Phase.POST)}[cfg.get("phase")]
     source_tok = cfg.get("source")
     sources = ["hip", "nac", "wcoh"] if source_tok == "all" else [source_tok]
     group_tok = cfg.get("group")
     groups = ([Group.FOOD, Group.MORPHINE, Group.SALINE]
               if group_tok == "all" else [Group(group_tok)])
-    per_rat = bool(cfg.args.per_rat)
-    cfg.resolved["per_rat"] = per_rat
+    per_rat = cfg.get("per_rat")
+    out_dir = cfg.get("out")
 
-    os.makedirs(cfg.args.out, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     accuracy = {}
     complexity = {}
     for source in sources:
-        if source == "hip":
-            table = cwt_table(sessions, Channel.HIP, window, hop, bank_cfg)
-        elif source == "nac":
-            table = cwt_table(sessions, Channel.NAC, window, hop, bank_cfg)
-        else:
+        if source == "wcoh":
             table = wcoh_table(sessions, window, hop, bank_cfg,
-                               SmoothingSpec(c_t=cfg.get("c_t", float),
-                                             c_s=cfg.get("c_s", float)))
+                               _smoothing(cfg))
+        else:
+            table = cwt_table(sessions, Channel(source), window, hop,
+                              bank_cfg)
         for group in groups:
             data = chamber_dataset(table, group, phases)
             rats = None
             if per_rat:
-                keep = [i for i, s in enumerate(table.segments)
+                rats = [s.rat_id for s in table.segments
                         if s.group is group and s.phase in phases]
-                rats = [table.segments[i].rat_id for i in keep]
             matrix = run_kfold(data, k, trainer, seed, groups=rats)
             stats = confusion_stats(matrix)
             accuracy[(source, group.value)] = stats["micro"]
-            out = os.path.join(cfg.args.out,
-                               f"confusion_{source}_{group.value}.csv")
+            out = os.path.join(out_dir, f"confusion_{source}_{group.value}.csv")
             _atomic(out, lambda p, m=matrix: confusion_to_csv(m, p, cfg.line()))
             if trainer.kind == "dt":
                 grade = tree_complexity(train_tree(data, trainer.max_depth,
@@ -221,60 +350,49 @@ def cmd_chambers(cfg: Config):
             print(f"chambers {source}/{group.value}: "
                   f"micro={stats['micro']:.2f}% macro={stats['macro']:.2f}%")
 
-    table_path = os.path.join(cfg.args.out, "chambers_accuracy.csv")
-
-    def _write_table(p):
-        with open(p, "w", newline="\n") as fh:
-            fh.write(f"# wavescat-config: {cfg.line()}\n")
-            fh.write(",".join(["source"] + [g.value for g in groups]) + "\n")
-            for source in sources:
-                row = [source] + [repr(accuracy[(source, g.value)])
-                                  for g in groups]
-                fh.write(",".join(row) + "\n")
-
-    _atomic(table_path, _write_table)
+    rows = [[source] + [accuracy[(source, g.value)] for g in groups]
+            for source in sources]
+    _atomic(os.path.join(out_dir, "chambers_accuracy.csv"),
+            lambda p: write_csv(p, ["source"] + [g.value for g in groups],
+                                rows, cfg.line()))
     if complexity:
-        cpath = os.path.join(cfg.args.out, "chambers_complexity.csv")
-
-        def _write_complexity(p):
-            with open(p, "w", newline="\n") as fh:
-                fh.write(f"# wavescat-config: {cfg.line()}\n")
-                fh.write("source,group,nodes,leaves,depth,grade\n")
-                for (source, group), c in sorted(complexity.items()):
-                    fh.write(f"{source},{group},{c['nodes']},{c['leaves']},"
-                             f"{c['depth']},{c['grade']}\n")
-
-        _atomic(cpath, _write_complexity)
+        rows = [[source, group, c["nodes"], c["leaves"], c["depth"],
+                 c["grade"]]
+                for (source, group), c in sorted(complexity.items())]
+        _atomic(os.path.join(out_dir, "chambers_complexity.csv"),
+                lambda p: write_csv(p, ["source", "group", "nodes", "leaves",
+                                        "depth", "grade"], rows, cfg.line()))
     return 0
 
 
 def cmd_joint(cfg: Config):
-    os.makedirs(cfg.args.out, exist_ok=True)
-    if cfg.args.stats_from:
-        matrix = confusion_from_counts_csv(cfg.args.stats_from)
+    out_dir, stats_from = cfg.get("out"), cfg.get("stats_from")
+    if not stats_from and cfg.get("data") is None:
+        raise UsageError("--data or --stats-from is required")
+    os.makedirs(out_dir, exist_ok=True)
+    if stats_from:
+        matrix = confusion_from_counts_csv(stats_from)
         stats = confusion_stats(matrix)
-        out = os.path.join(cfg.args.out, "joint_stats.csv")
+        out = os.path.join(out_dir, "joint_stats.csv")
         _atomic(out, lambda p: confusion_to_csv(matrix, p, cfg.line()))
         print(f"macro_accuracy={stats['macro']!r} "
               f"micro_accuracy={stats['micro']!r}")
         return 0
-    sessions = load_sessions(_bundle_paths(cfg.args.data))
-    window, hop = cfg.get("window", float), cfg.get("hop", float)
+    sessions = load_sessions(_bundle_paths(cfg.get("data")))
+    window, hop = cfg.get("window"), cfg.get("hop")
     params = _scatter_params(cfg, sessions[0].fs)
-    seed, k = cfg.get("seed", int), cfg.get("k", int)
+    seed, k = cfg.get("seed"), cfg.get("k")
     table = scatter_table(sessions, window, hop, params)
     data = joint_dataset(table)
-    if cfg.args.shuffle_labels:
-        cfg.resolved["shuffle_labels"] = True
+    if cfg.get("shuffle_labels"):
         rng = np.random.default_rng(seed)
         data = Dataset(data.features, rng.permutation(data.labels),
                        data.class_names)
-    trainer = TrainerConfig(kind="svm", c=cfg.get("c", float),
-                            tol=cfg.get("tol", float),
-                            max_iter=cfg.get("max_iter", int))
+    trainer = TrainerConfig(kind="svm", c=cfg.get("c"), tol=cfg.get("tol"),
+                            max_iter=cfg.get("max_iter"))
     matrix = run_kfold(data, k, trainer, seed)
     stats = confusion_stats(matrix)
-    out = os.path.join(cfg.args.out, "joint_confusion.csv")
+    out = os.path.join(out_dir, "joint_confusion.csv")
     _atomic(out, lambda p: confusion_to_csv(matrix, p, cfg.line()))
     print(f"joint 12-way: macro={stats['macro']:.4f}% "
           f"micro={stats['micro']:.4f}% ({data.n_samples} segments)")
@@ -282,33 +400,33 @@ def cmd_joint(cfg: Config):
 
 
 def cmd_report(cfg: Config):
-    sessions = load_sessions(_bundle_paths(cfg.args.data))
-    if cfg.args.rat:
-        sessions = [s for s in sessions if s.rat_id == cfg.args.rat]
-    phase_tok = cfg.get("phase")
-    if phase_tok in ("pre", "post"):
-        sessions = [s for s in sessions if s.phase is Phase(phase_tok)]
+    sessions = load_sessions(_bundle_paths(cfg.get("data")))
+    rat = cfg.get("rat")
+    if rat:
+        sessions = [s for s in sessions if s.rat_id == rat]
+    phase = Phase(cfg.get("phase"))
+    sessions = [s for s in sessions if s.phase is phase]
     if not sessions:
         raise DataError("no session matches the rat/phase selection")
     session = sessions[0]
     bank = _bank_config(cfg).build(next_pow2(session.hip.samples.size),
                                    session.fs)
-    os.makedirs(cfg.args.out, exist_ok=True)
+    out_dir = cfg.get("out")
+    os.makedirs(out_dir, exist_ok=True)
     stem = f"{session.rat_id}_{session.phase.value}"
     scal = {}
     for chan in (Channel.HIP, Channel.NAC):
         scal[chan] = cwt(session.channel(chan), bank)
         mag = scalogram_magnitude(scal[chan])
-        base = os.path.join(cfg.args.out, f"{stem}_{chan.value}_scalogram")
+        base = os.path.join(out_dir, f"{stem}_{chan.value}_scalogram")
         _atomic(base + ".csv",
                 lambda p, m=mag, s=scal[chan]: scalogram_to_csv(
                     m, s.scale_axis, s.time_axis, p, cfg.line()))
         _atomic(base + ".pgm",
                 lambda p, m=mag: write_pgm(p, to_gray(m),
                                            f"wavescat-config: {cfg.line()}"))
-    spec = SmoothingSpec(c_t=cfg.get("c_t", float), c_s=cfg.get("c_s", float))
-    cmap = coherence(scal[Channel.HIP], scal[Channel.NAC], spec)
-    base = os.path.join(cfg.args.out, f"{stem}_wcoh")
+    cmap = coherence(scal[Channel.HIP], scal[Channel.NAC], _smoothing(cfg))
+    base = os.path.join(out_dir, f"{stem}_wcoh")
     _atomic(base + ".csv",
             lambda p: scalogram_to_csv(cmap.coherence, cmap.scale_axis,
                                        cmap.time_axis, p, cfg.line()))
@@ -319,7 +437,7 @@ def cmd_report(cfg: Config):
     _atomic(base + ".pgm",
             lambda p: write_pgm(p, to_gray(cmap.coherence, 0.0, 1.0),
                                 f"wavescat-config: {cfg.line()}"))
-    records = phase_overlay(cmap, cfg.get("threshold", float))
+    records = phase_overlay(cmap, cfg.get("threshold"))
     _atomic(base + "_overlay.csv",
             lambda p: overlay_to_csv(records, p, cfg.line()))
     print(f"report for {stem}: {len(records)} overlay records")
@@ -330,23 +448,22 @@ def cmd_report(cfg: Config):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, *, seed_required):
-    p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("--seed", type=int, required=seed_required,
-                   help="random seed (mandatory for randomized commands)")
+COMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic cohort"),
+    "features": (cmd_features, "export per-segment features"),
+    "chambers": (cmd_chambers, "3-way chamber classification per group"),
+    "joint": (cmd_joint, "12-way scattering + one-vs-all SVM pipeline"),
+    "report": (cmd_report, "plot-ready scalogram/coherence exports"),
+}
 
 
-def _add_bank_flags(p):
-    p.add_argument("--fmin", type=float, help="lowest center frequency [1 Hz]")
-    p.add_argument("--fmax", type=float, help="highest center frequency [100 Hz]")
-    p.add_argument("--voices", type=int, help="voices per octave [10]")
-    p.add_argument("--gamma", type=float, help="Morse symmetry [3]")
-    p.add_argument("--tb", type=float, help="Morse time-bandwidth product [60]")
-
-
-def _add_window_flags(p):
-    p.add_argument("--window", type=float, help="segment length, s [1.0]")
-    p.add_argument("--hop", type=float, help="segment hop, s [0.5]")
+def _help(opt: Option, command: str) -> str:
+    text = opt.help
+    if opt.default is not None:
+        text += f" [{opt.default}]"
+    if command in opt.required:
+        text += " (required)"
+    return text
 
 
 def build_parser():
@@ -355,120 +472,36 @@ def build_parser():
         description="Two-channel LFP wavelet features and classification. "
                     "Bracketed values in the help are the built-in defaults.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic cohort")
-    _add_common(p, seed_required=True)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--delta", type=float, help="separability in [0,1] [0.8]")
-    p.add_argument("--session-len", dest="session_len", type=float,
-                   help="session length, s [60]")
-    p.add_argument("--fs", type=float, help="sampling rate, Hz [1000]")
-    p.add_argument("--rats-saline", dest="rats_saline", type=int,
-                   help="saline cohort size [7]")
-    p.add_argument("--rats-morphine", dest="rats_morphine", type=int,
-                   help="morphine cohort size [6]")
-    p.add_argument("--rats-food", dest="rats_food", type=int,
-                   help="food cohort size [6]")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("features", help="export per-segment features")
-    p.add_argument("kind", choices=["cwt", "wcoh", "scatter"])
-    _add_common(p, seed_required=False)
-    p.add_argument("--data", required=True, help="directory of .wscat bundles")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--channel", choices=["hip", "nac"],
-                   help="channel for kind=cwt [hip]")
-    _add_window_flags(p)
-    _add_bank_flags(p)
-    p.add_argument("--c-t", dest="c_t", type=float,
-                   help="time smoothing, cycles [2.0]")
-    p.add_argument("--c-s", dest="c_s", type=float,
-                   help="scale smoothing, octaves [0.6]")
-    p.add_argument("--t", type=float, help="scattering invariance, s [0.5]")
-    p.add_argument("--q1", type=int, help="layer-1 voices per octave [8]")
-    p.add_argument("--q2", type=int, help="layer-2 voices per octave [1]")
-    p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("chambers",
-                       help="3-way chamber classification per group")
-    _add_common(p, seed_required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--model", choices=["dt", "mlp"], help="classifier [dt]")
-    p.add_argument("--source", choices=["hip", "nac", "wcoh", "all"],
-                   help="feature source [all]")
-    p.add_argument("--group", choices=["food", "morphine", "saline", "all"],
-                   help="treatment group [all]")
-    p.add_argument("--phase", choices=["pre", "post", "both"],
-                   help="test phase used [post]")
-    p.add_argument("--k", type=int, help="folds [10]")
-    p.add_argument("--per-rat", action="store_true",
-                   help="hold out whole rats instead of stratifying")
-    _add_window_flags(p)
-    _add_bank_flags(p)
-    p.add_argument("--c-t", dest="c_t", type=float,
-                   help="time smoothing, cycles [2.0]")
-    p.add_argument("--c-s", dest="c_s", type=float,
-                   help="scale smoothing, octaves [0.6]")
-    p.add_argument("--max-depth", dest="max_depth", type=int,
-                   help="DT depth limit [12]")
-    p.add_argument("--min-leaf", dest="min_leaf", type=int,
-                   help="DT minimum leaf size [1]")
-    p.add_argument("--hidden", help="MLP hidden sizes, comma separated [64]")
-    p.add_argument("--epochs", type=int, help="MLP epochs [300]")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float,
-                   help="MLP learning rate [0.1]")
-    p.set_defaults(func=cmd_chambers)
-
-    p = sub.add_parser("joint",
-                       help="12-way scattering + one-vs-all SVM pipeline")
-    _add_common(p, seed_required=True)
-    p.add_argument("--data", help="directory of .wscat bundles")
-    p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, help="folds [10]")
-    p.add_argument("--shuffle-labels", action="store_true",
-                   help="seeded label permutation (chance-level control)")
-    p.add_argument("--stats-from", dest="stats_from",
-                   help="skip the pipeline; recompute stats from a counts CSV")
-    _add_window_flags(p)
-    p.add_argument("--t", type=float, help="scattering invariance, s [0.5]")
-    p.add_argument("--q1", type=int, help="layer-1 voices per octave [8]")
-    p.add_argument("--q2", type=int, help="layer-2 voices per octave [1]")
-    p.add_argument("--fmax", type=float, help="scattering band top [100 Hz]")
-    p.add_argument("--gamma", type=float, help="Morse symmetry [3]")
-    p.add_argument("--c", type=float, help="SVM penalty C [1.0]")
-    p.add_argument("--tol", type=float, help="SVM duality-gap tolerance [1e-4]")
-    p.add_argument("--max-iter", dest="max_iter", type=int,
-                   help="SVM epoch limit [1000]")
-    p.set_defaults(func=cmd_joint)
-
-    p = sub.add_parser("report", help="plot-ready scalogram/coherence exports")
-    _add_common(p, seed_required=False)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--rat", help="rat id, e.g. rat14 [first in sort order]")
-    p.add_argument("--phase", choices=["pre", "post"],
-                   help="session phase [post]")
-    p.add_argument("--threshold", type=float,
-                   help="coherence threshold for the phase overlay [0.5]")
-    _add_bank_flags(p)
-    p.add_argument("--c-t", dest="c_t", type=float,
-                   help="time smoothing, cycles [2.0]")
-    p.add_argument("--c-s", dest="c_s", type=float,
-                   help="scale smoothing, octaves [0.6]")
-    p.set_defaults(func=cmd_report)
+    for command, (func, help_text) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "features":
+            p.add_argument("kind", choices=["cwt", "wcoh", "scatter"])
+        p.add_argument("--config",
+                       help="key=value config file; flags override")
+        for opt in OPTIONS.values():
+            if command not in opt.commands:
+                continue
+            if opt.type is bool:
+                p.add_argument(opt.flag, dest=opt.name, action="store_true",
+                               default=None, help=_help(opt, command))
+            else:
+                p.add_argument(opt.flag, dest=opt.name, type=opt.type,
+                               choices=opt.choices_for(command) or None,
+                               help=_help(opt, command))
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    file_values = _load_config_file(args.config) if args.config else {}
-    cfg = Config(args, file_values, args.command)
-    if getattr(args, "seed", None) is not None:
-        cfg.resolved["seed"] = args.seed
+    args = build_parser().parse_args(argv)
     try:
+        cfg = Config(args, _load_config_file(args.config)
+                     if args.config else {})
+        cfg.get("seed")     # recorded whenever given, even if unused
         return args.func(cfg)
+    except UsageError as exc:
+        print(f"wavescat {args.command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

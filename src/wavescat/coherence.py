@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .csvfile import write_csv
 from .cwt import Scalogram
 from .errors import DataError
 
@@ -153,9 +154,4 @@ def phase_overlay(cmap: CoherenceMap, threshold: float,
 
 
 def overlay_to_csv(records, path, config_line: str = "") -> None:
-    with open(path, "w", newline="\n") as fh:
-        if config_line:
-            fh.write(f"# wavescat-config: {config_line}\n")
-        fh.write("t,freq_hz,phase_rad\n")
-        for t, f, p in records:
-            fh.write(f"{t!r},{f!r},{p!r}\n")
+    write_csv(path, ["t", "freq_hz", "phase_rad"], records, config_line)

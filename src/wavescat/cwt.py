@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvfile import write_csv
 from .errors import DataError
 from .model import TimeSeries
 from .morse import FilterBank
@@ -112,11 +113,7 @@ def next_pow2(n: int) -> int:
 def scalogram_to_csv(mag: np.ndarray, scale_axis, time_axis, path,
                      config_line: str = "") -> None:
     """Magnitudes as CSV: header row = time axis, first column = frequency."""
-    with open(path, "w", newline="\n") as fh:
-        if config_line:
-            fh.write(f"# wavescat-config: {config_line}\n")
-        fh.write("freq_hz," + ",".join(repr(float(t)) for t in time_axis))
-        fh.write("\n")
-        for fc, row in zip(scale_axis, mag):
-            fh.write(repr(float(fc)) + "," + ",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+    header = ["freq_hz"] + np.asarray(time_axis).tolist()
+    rows = ([fc] + row.tolist()
+            for fc, row in zip(np.asarray(scale_axis).tolist(), mag))
+    write_csv(path, header, rows, config_line)

@@ -273,13 +273,14 @@ def load_session(path) -> RecordingSession:
         raise BundleFormatError(str(exc), line=1) from exc
 
 
-def segment_by_chamber(session: RecordingSession, window_len: float,
-                       hop: float) -> list[Segment]:
-    """Cut both channels into hop-grid windows with a constant chamber.
+def chamber_windows(session: RecordingSession, window_len: float,
+                    hop: float) -> tuple[int, list[tuple[int, Chamber]]]:
+    """Window length in samples and the (start sample, chamber) of every
+    chamber-constant window.
 
     Windows are [t, t + window_len) on the hop grid; any window whose
     samples span a chamber transition (or precede the first track fix)
-    is discarded. Emits the HIP segment then the NAc segment per window.
+    is discarded.
     """
     if window_len <= 0 or hop <= 0:
         raise DataError("window_len and hop must be positive")
@@ -290,20 +291,31 @@ def segment_by_chamber(session: RecordingSession, window_len: float,
     step = int(round(hop * fs))
     if win < 2:
         raise DataError("window shorter than two samples")
+    if step < 1:
+        raise DataError("hop shorter than one sample")
     n = session.hip.samples.size
     if win > n:
         raise DataError("window longer than the session")
     codes = session.chamber_per_sample()
-    segments: list[Segment] = []
+    windows = []
     for start in range(0, n - win + 1, step):
         code = codes[start]
-        if code < 0 or np.any(codes[start:start + win] != code):
-            continue
-        chamber = Chamber(int(code))
+        if code >= 0 and not np.any(codes[start:start + win] != code):
+            windows.append((start, Chamber(int(code))))
+    return win, windows
+
+
+def segment_by_chamber(session: RecordingSession, window_len: float,
+                       hop: float) -> list[Segment]:
+    """Cut both channels into the windows of ``chamber_windows``; emits
+    the HIP segment then the NAc segment per window."""
+    win, windows = chamber_windows(session, window_len, hop)
+    segments: list[Segment] = []
+    for start, chamber in windows:
         for chan in (Channel.HIP, Channel.NAC):
             data = session.channel(chan).samples[start:start + win].copy()
             segments.append(Segment(data, session.group, session.phase,
-                                    chan, chamber, start / fs,
+                                    chan, chamber, start / session.fs,
                                     session.rat_id))
     return segments
 
@@ -341,11 +353,3 @@ def split_folds(segments, k: int, seed: int) -> list[np.ndarray]:
     """Stratify segments by their full (group, phase, channel, chamber)."""
     keys = [tuple(x.name for x in s.label_tuple) for s in segments]
     return stratified_folds(keys, k, seed)
-
-
-def folds_to_csv(folds, path) -> None:
-    rows = sorted((int(i), fold) for fold, idx in enumerate(folds) for i in idx)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("segment_index,fold\n")
-        for i, fold in rows:
-            fh.write(f"{i},{fold}\n")

@@ -144,13 +144,3 @@ def build_filterbank(n: int, fs: float, params: MorseParams | None = None,
         omega_j = 2.0 * np.pi * fc / fs
         filters[j] = morse_hat(omega * (omega_p / omega_j), params)
     return FilterBank(params, fs, voices_per_octave, centers, filters)
-
-
-def filterbank_to_csv(bank: FilterBank, path, config_line: str = "") -> None:
-    """One row per scale: center frequency, then the DFT-grid responses."""
-    with open(path, "w", newline="\n") as fh:
-        if config_line:
-            fh.write(f"# wavescat-config: {config_line}\n")
-        for fc, row in zip(bank.center_frequencies, bank.filters):
-            fh.write(",".join([repr(float(fc))] + [repr(float(v)) for v in row]))
-            fh.write("\n")

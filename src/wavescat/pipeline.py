@@ -18,10 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import SmoothingSpec, coherence
+from .csvfile import write_csv
 from .cwt import cwt, next_pow2, scalogram_magnitude
 from .errors import DataError
 from .model import (Chamber, Channel, Group, Phase, RecordingSession,
-                    Segment, load_session, segment_by_chamber)
+                    Segment, chamber_windows, load_session,
+                    segment_by_chamber)
 from .morse import MorseParams, build_filterbank
 from .classify import Dataset
 from .scattering import ScatteringParams, feature_matrix
@@ -51,25 +53,6 @@ def load_sessions(paths) -> list[RecordingSession]:
     sessions = [load_session(p) for p in paths]
     sessions.sort(key=lambda s: (s.rat_id, s.group.value, s.phase.value))
     return sessions
-
-
-def _window_grid(session, window_len, hop):
-    fs = session.fs
-    win = int(round(window_len * fs))
-    step = int(round(hop * fs))
-    return win, step
-
-
-def _segment_starts(session, window_len, hop):
-    """Start samples of chamber-constant windows plus their chambers."""
-    win, step = _window_grid(session, window_len, hop)
-    codes = session.chamber_per_sample()
-    out = []
-    for start in range(0, codes.size - win + 1, step):
-        code = codes[start]
-        if code >= 0 and not np.any(codes[start:start + win] != code):
-            out.append((start, Chamber(int(code))))
-    return out
 
 
 def _masked_window_stats(mag, valid, start, win):
@@ -107,6 +90,7 @@ def cwt_table(sessions, channel: Channel, window_len: float, hop: float,
     bank_cache = {}
     columns = None
     for session in sessions:
+        win, windows = chamber_windows(session, window_len, hop)
         n = session.hip.samples.size
         key = (next_pow2(n), session.fs)
         bank = bank_cache.setdefault(key, bank_cfg.build(*key))
@@ -116,8 +100,7 @@ def cwt_table(sessions, channel: Channel, window_len: float, hop: float,
         if columns is None:
             columns = [f"cwt_mean[{f:.4g}]" for f in scal.scale_axis]
             columns += [f"cwt_var[{f:.4g}]" for f in scal.scale_axis]
-        win, _ = _window_grid(session, window_len, hop)
-        for start, chamber in _segment_starts(session, window_len, hop):
+        for start, chamber in windows:
             mean, var = _masked_window_stats(mag, valid, start, win)
             rows.append(np.concatenate([mean, var]))
             segs.append(Segment(np.empty(0), session.group, session.phase,
@@ -135,6 +118,7 @@ def wcoh_table(sessions, window_len: float, hop: float, bank_cfg: BankConfig,
     bank_cache = {}
     columns = None
     for session in sessions:
+        win, windows = chamber_windows(session, window_len, hop)
         n = session.hip.samples.size
         key = (next_pow2(n), session.fs)
         bank = bank_cache.setdefault(key, bank_cfg.build(*key))
@@ -147,8 +131,7 @@ def wcoh_table(sessions, window_len: float, hop: float, bank_cfg: BankConfig,
         if columns is None:
             columns = [f"coh_mean[{f:.4g}]" for f in cmap.scale_axis]
             columns += [f"phase_mean[{f:.4g}]" for f in cmap.scale_axis]
-        win, _ = _window_grid(session, window_len, hop)
-        for start, chamber in _segment_starts(session, window_len, hop):
+        for start, chamber in windows:
             sl = slice(start, start + win)
             mask = valid[:, sl]
             counts = mask.sum(axis=1)
@@ -183,18 +166,12 @@ def scatter_table(sessions, window_len: float, hop: float,
 
 
 def table_to_csv(table: FeatureTable, path, config_line: str = "") -> None:
-    with open(path, "w", newline="\n") as fh:
-        if config_line:
-            fh.write(f"# wavescat-config: {config_line}\n")
-        fh.write(",".join(table.columns
-                          + ["group", "phase", "channel", "chamber"]))
-        fh.write("\n")
-        for row, seg in zip(table.matrix, table.segments):
-            cells = [repr(float(v)) for v in row]
-            cells += [seg.group.value, seg.phase.value,
-                      table.row_channel(seg), seg.chamber.display]
-            fh.write(",".join(cells))
-            fh.write("\n")
+    """Feature columns then the group,phase,channel,chamber label cells."""
+    rows = (row.tolist() + [seg.group.value, seg.phase.value,
+                            table.row_channel(seg), seg.chamber.display]
+            for row, seg in zip(table.matrix, table.segments))
+    write_csv(path, table.columns + ["group", "phase", "channel", "chamber"],
+              rows, config_line)
 
 
 def joint_class_name(channel: Channel, phase: Phase, group: Group) -> str:
@@ -236,7 +213,3 @@ def chamber_dataset(table: FeatureTable, group: Group,
     if missing:
         raise DataError(f"chambers absent for group {group.value}: {missing}")
     return Dataset(table.matrix[keep], labels, names)
-
-
-def rat_ids(table: FeatureTable, keep) -> list[str]:
-    return [table.segments[i].rat_id for i in keep]

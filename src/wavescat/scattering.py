@@ -208,19 +208,3 @@ def path_names(paths) -> list[str]:
         else:
             names.append(f"S2[{p[0]:.4g},{p[1]:.4g}]")
     return names
-
-
-def features_to_csv(matrix, paths, segments, path, config_line: str = "") -> None:
-    """Feature CSV with path-named columns and the four label columns."""
-    names = path_names(paths)
-    with open(path, "w", newline="\n") as fh:
-        if config_line:
-            fh.write(f"# wavescat-config: {config_line}\n")
-        fh.write(",".join(names + ["group", "phase", "channel", "chamber"]))
-        fh.write("\n")
-        for row, seg in zip(matrix, segments):
-            cells = [repr(float(v)) for v in row]
-            cells += [seg.group.value, seg.phase.value,
-                      seg.channel.display, seg.chamber.display]
-            fh.write(",".join(cells))
-            fh.write("\n")

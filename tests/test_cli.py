@@ -1,11 +1,14 @@
+import argparse
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
 
 from wavescat.classify import ConfusionMatrix, confusion_to_csv
-from wavescat.cli import main
+from wavescat import cli
+from wavescat.cli import build_parser, main
 from wavescat.model import (Chamber, PositionSample, load_session,
                             save_session)
 from wavescat.pipeline import load_sessions
@@ -273,3 +276,178 @@ def test_rerun_joint_byte_identical(tmp_path, small_cohort):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert tree_digest(a) == tree_digest(b)
+
+
+@pytest.mark.parametrize("kind", ["cwt", "scatter"])
+def test_zero_hop_is_a_data_error(tmp_path, single_chamber_session, kind,
+                                  capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    save_session(single_chamber_session, data / "rat1_food_post.wscat")
+    assert main(["features", kind, "--data", str(data),
+                 "--out", str(tmp_path / "out"), "--hop", "0"]) == 3
+    assert "hop must be positive" in capsys.readouterr().err
+
+
+def test_window_longer_than_session_is_a_data_error(tmp_path,
+                                                    single_chamber_session,
+                                                    capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    save_session(single_chamber_session, data / "rat1_food_post.wscat")
+    assert main(["features", "wcoh", "--data", str(data),
+                 "--out", str(tmp_path / "out"), "--window", "20"]) == 3
+    assert "window longer than the session" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, message", [
+    (["synth", "--seed", "1"], "delta0.5\n", "expected key=value"),
+    (["synth", "--seed", "1"], "delta=abc\n", "delta=abc"),
+    (["synth", "--seed", "1"], "# typo\ndetla=0.5\n",
+     "line 2: unknown key 'detla'"),
+    (["chambers", "--seed", "1", "--data", "d"], "model=svm\n",
+     "model=svm: not one of dt, mlp"),
+    (["chambers", "--seed", "1", "--data", "d"], "per-rat=maybe\n",
+     "per_rat=maybe"),
+])
+def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, text,
+                                            message):
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--out", str(tmp_path / "out"),
+                        "--config", str(config)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--seed", "1", "--out", str(tmp_path / "out"),
+              "--config", str(tmp_path / "absent.conf")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "cannot read config file" in err
+
+
+def test_config_keys_of_other_commands_are_allowed(tmp_path):
+    config = tmp_path / "round_trip.conf"
+    config.write_text("delta=0.5\nsession-len=10\nmodel=dt\nrat=rat14\n"
+                      "max-iter=50\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["synth", "--seed", "3", "--config", str(config),
+                 "--out", str(a)]) == 0
+    assert main(["synth", "--seed", "3", "--delta", "0.5",
+                 "--session-len", "10", "--out", str(b)]) == 0
+    assert tree_digest(a) == tree_digest(b)
+
+
+def test_required_options_may_come_from_the_config_file(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--out is required" in capsys.readouterr().err
+    config = tmp_path / "run.conf"
+    out = tmp_path / "out"
+    config.write_text(f"out={out}\nsession-len=10\nrats-saline=1\n"
+                      "rats-morphine=1\nrats-food=1\n")
+    assert main(["synth", "--seed", "1", "--config", str(config)]) == 0
+    assert len(list(out.glob("*.wscat"))) == 6
+
+
+def test_joint_without_data_or_stats_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["joint", "--seed", "1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--data or --stats-from is required" in capsys.readouterr().err
+
+
+def test_per_rat_from_config_matches_flag(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--seed", "5",
+                 "--session-len", "20", "--fs", "250", "--rats-saline", "1",
+                 "--rats-morphine", "1", "--rats-food", "2"]) == 0
+    config = tmp_path / "run.conf"
+    config.write_text("per-rat=true\n")
+    args = ["chambers", "--data", str(data), "--seed", "3", "--k", "2",
+            "--group", "food", "--source", "hip", "--phase", "both"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--per-rat", "--out", str(a)]) == 0
+    assert main(args + ["--config", str(config), "--out", str(b)]) == 0
+    assert tree_digest(a) == tree_digest(b)
+    assert "per_rat=True" in (b / "chambers_accuracy.csv").read_text()
+
+
+def help_defaults(command):
+    """Option name -> the text in its --help brackets."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = {}
+    for action in sub.choices[command]._actions:
+        match = re.search(r"\[([^\[\]]*)\]( \(required\))?$",
+                          action.help or "")
+        if match:
+            found[action.dest] = match.group(1)
+    return found
+
+
+def config_values(out_dir):
+    """Every key=value of the config lines written under ``out_dir``."""
+    values = {}
+    for path in out_dir.glob("*.csv"):
+        first = path.read_text().splitlines()[0]
+        assert first.startswith("# wavescat-config: ")
+        for pair in first.split()[3:]:
+            key, value = pair.split("=", 1)
+            values[key] = value
+    return values
+
+
+@pytest.fixture(scope="module")
+def every_chamber_cohort(tmp_path_factory):
+    # chambers at its defaults needs the post sessions of every group to
+    # visit all three chambers; with one 30 s rat per group this seed does
+    out = tmp_path_factory.mktemp("every_chamber")
+    assert main(["synth", "--out", str(out), "--seed", "73",
+                 "--session-len", "30", "--fs", "250", "--rats-saline", "1",
+                 "--rats-morphine", "1", "--rats-food", "1"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command, runs", [
+    ("features", [["cwt"], ["wcoh"], ["scatter"]]),
+    ("chambers", [["--seed", "1"],
+                  ["--seed", "1", "--model", "mlp", "--source", "hip"]]),
+    ("joint", [["--seed", "1"]]),
+    ("report", [[]]),
+])
+def test_help_shows_the_defaults_used(tmp_path, every_chamber_cohort,
+                                      command, runs):
+    shown = help_defaults(command)
+    checked = set()
+    for i, extra in enumerate(runs):
+        out = tmp_path / f"run{i}"
+        assert main([command] + extra + ["--data", str(every_chamber_cohort),
+                                         "--out", str(out)]) == 0
+        for key, value in config_values(out).items():
+            if f"--{key.replace('_', '-')}" in extra or key == "seed":
+                continue
+            assert shown[key] == value, key
+            checked.add(key)
+    # shuffle_labels is recorded only when set
+    assert set(shown) - checked <= {"shuffle_labels"}
+
+
+def test_synth_help_shows_the_defaults_used(tmp_path, monkeypatch):
+    specs = []
+    monkeypatch.setattr(cli, "generate_cohort",
+                        lambda spec, out: specs.append(spec) or [])
+    assert main(["synth", "--seed", "1", "--out", str(tmp_path)]) == 0
+    shown = help_defaults("synth")
+    assert set(shown) == {"delta", "session_len", "fs", "rats_saline",
+                          "rats_morphine", "rats_food"}
+    for key, value in shown.items():
+        assert str(getattr(specs[0], key)) == value, key

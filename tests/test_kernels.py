@@ -1,16 +1,12 @@
-"""Equivalence of the numba kernels and their pure-numpy fallbacks."""
+"""Contracts of the smoothing, split-scan and SVM kernels."""
 
 import numpy as np
 import pytest
 
-from wavescat import _kernels
-from wavescat._kernels import (_best_split_column_py, _boxcar_scale_py,
-                               _boxcar_time_py, _svm_dual_pg_py)
+from wavescat._kernels import (best_split_column, boxcar_scale, boxcar_time,
+                               svm_dual_solve)
 
 from oracles import brute_force_smooth
-
-numba_only = pytest.mark.skipif(not _kernels.NUMBA_ENABLED,
-                                reason="numba unavailable or disabled")
 
 
 def random_complex(seed, shape=(7, 48)):
@@ -21,75 +17,28 @@ def random_complex(seed, shape=(7, 48)):
 def test_numpy_boxcars_match_brute_force():
     mat = random_complex(0)
     widths = [1, 2, 3, 5, 7, 9, 48]
-    got = _boxcar_scale_py(_boxcar_time_py(mat, np.array(widths)), 3)
+    got = boxcar_scale(boxcar_time(mat, np.array(widths)), 3)
     expected = brute_force_smooth(mat, widths, 3)
     assert np.abs(got - expected).max() < 1e-12
-
-
-@numba_only
-def test_numba_boxcars_match_numpy():
-    for seed in range(5):
-        mat = random_complex(seed)
-        widths = np.array([1, 3, 4, 7, 11, 13, 21], dtype=np.int64)
-        a = _kernels._boxcar_time_py(mat, widths)
-        b = _kernels._boxcar_time_nb(mat, widths, np.empty_like(mat))
-        assert np.abs(a - b).max() < 1e-12
-        sa = _kernels._boxcar_scale_py(a, 4)
-        sb = _kernels._boxcar_scale_nb(a, 4, np.empty_like(a))
-        assert np.abs(sa - sb).max() < 1e-12
 
 
 def test_boxcar_real_matrices_too():
     rng = np.random.default_rng(9)
     mat = rng.standard_normal((5, 32))
-    got = _kernels.boxcar_time(mat, np.array([2, 3, 4, 5, 6]))
+    got = boxcar_time(mat, np.array([2, 3, 4, 5, 6]))
     expected = brute_force_smooth(mat, [2, 3, 4, 5, 6], 1)
     assert np.abs(got - expected).max() < 1e-12
-
-
-@numba_only
-def test_split_kernels_choose_same_split():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        values = np.sort(rng.standard_normal(40))
-        classes = rng.integers(0, 3, 40)
-        py = _best_split_column_py(values, classes, 3, 1)
-        left = np.zeros(3, dtype=np.int64)
-        tot = np.zeros(3, dtype=np.int64)
-        nb = _kernels._best_split_column_nb(values, classes, 3, 1, left, tot)
-        assert py[2] == nb[2]
-        if py[2]:
-            assert py[1] == pytest.approx(nb[1], abs=1e-15)
-            assert py[0] == pytest.approx(nb[0], abs=1e-12)
 
 
 def test_split_respects_min_leaf():
     values = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
     classes = np.array([0, 0, 0, 1, 1, 1])
-    gain, thr, ok = _kernels.best_split_column(values, classes, 2, 1)
+    gain, thr, ok = best_split_column(values, classes, 2, 1)
     assert ok and thr == pytest.approx(2.5)
-    gain, thr, ok = _kernels.best_split_column(values, classes, 2, 3)
+    gain, thr, ok = best_split_column(values, classes, 2, 3)
     assert ok and thr == pytest.approx(2.5)
-    _, _, ok = _kernels.best_split_column(values, classes, 2, 4)
+    _, _, ok = best_split_column(values, classes, 2, 4)
     assert not ok
-
-
-@numba_only
-def test_svm_solvers_agree_through_the_gap_contract():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((120, 6))
-    y = np.where(x[:, 0] + 0.3 * rng.standard_normal(120) > 0, 1.0, -1.0)
-    aug = np.hstack([x, np.ones((120, 1))])
-    c_i = np.full(120, 2.0)
-    alpha = np.zeros(120)
-    w_cd = np.zeros(7)
-    gap_cd, _ = _kernels._svm_dual_cd_nb(aug, y, c_i, 1e-9, 50_000,
-                                         alpha, w_cd)
-    alpha2 = np.zeros(120)
-    w_pg = np.zeros(7)
-    gap_pg, _ = _svm_dual_pg_py(aug, y, c_i, 1e-9, 200_000, alpha2, w_pg)
-    assert gap_cd <= 1e-9 and gap_pg <= 1e-9
-    assert np.linalg.norm(w_cd - w_pg) / np.linalg.norm(w_cd) < 1e-3
 
 
 def test_pg_solver_standalone_contract():
@@ -97,15 +46,9 @@ def test_pg_solver_standalone_contract():
     x = rng.standard_normal((60, 3))
     y = np.where(x[:, 1] > 0, 1.0, -1.0)
     aug = np.hstack([x, np.ones((60, 1))])
-    alpha = np.zeros(60)
-    w = np.zeros(4)
-    gap, epochs = _svm_dual_pg_py(aug, y, np.full(60, 1.0), 1e-8, 100_000,
-                                  alpha, w)
+    w, alpha, gap, epochs = svm_dual_solve(aug, y, np.full(60, 1.0), 1e-8,
+                                           100_000)
     assert gap <= 1e-8
     assert np.all(alpha >= 0) and np.all(alpha <= 1.0 + 1e-12)
     margins = y * (aug @ w)
     assert (margins > 0).mean() > 0.95
-
-
-def test_dispatch_flag_exported():
-    assert isinstance(_kernels.NUMBA_ENABLED, bool)

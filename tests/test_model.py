@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from wavescat.errors import BundleFormatError, DataError
 from wavescat.model import (Chamber, Channel, Group, Phase, PositionSample,
-                            chamber_codes, folds_to_csv, load_session,
-                            save_session, segment_by_chamber, split_folds,
+                            chamber_codes, load_session, save_session,
+                            segment_by_chamber, split_folds,
                             stratified_folds)
 from wavescat.synth import SynthSpec, generate_session
 
@@ -223,13 +223,3 @@ def test_fold_errors():
         stratified_folds([0, 1], 1, seed=0)
     with pytest.raises(DataError):
         stratified_folds([0, 1], 3, seed=0)
-
-
-def test_folds_csv_export(tmp_path):
-    folds = stratified_folds([0, 0, 1, 1], 2, seed=0)
-    out = tmp_path / "folds.csv"
-    folds_to_csv(folds, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "segment_index,fold"
-    assert len(lines) == 5
-    assert sorted(int(l.split(",")[0]) for l in lines[1:]) == [0, 1, 2, 3]

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from wavescat.errors import DataError
-from wavescat.morse import (MorseParams, build_filterbank,
-                            filterbank_to_csv, morse_hat, peak_frequency)
+from wavescat.morse import (MorseParams, build_filterbank, morse_hat,
+                            peak_frequency)
 
 
 from oracles import numeric_peak
@@ -116,15 +116,3 @@ def test_efold_times_decrease_with_frequency():
     times = bank.efold_times()
     assert np.all(np.diff(times) >= 0)  # descending frequency axis
     assert times[-1] > times[0]
-
-
-def test_filterbank_csv(tmp_path):
-    bank = build_filterbank(64, 200.0, MorseParams(), 2, 5.0, 50.0)
-    path = tmp_path / "bank.csv"
-    filterbank_to_csv(bank, path, "cmd=test")
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# wavescat-config:")
-    assert len(lines) == 1 + bank.n_scales
-    first = lines[1].split(",")
-    assert float(first[0]) == 50.0
-    assert len(first) == 1 + 64

@@ -3,9 +3,9 @@ import pytest
 
 from wavescat.errors import DataError
 from wavescat.model import Chamber, Channel, Group, Phase, Segment
+from wavescat.pipeline import FeatureTable, table_to_csv
 from wavescat.scattering import (ScatteringParams, feature_matrix,
-                                 features_to_csv, layer_energies, path_names,
-                                 scatter)
+                                 layer_energies, path_names, scatter)
 
 FS = 1000.0
 PARAMS = ScatteringParams(t=0.5, q1=8, q2=1, fs=FS)
@@ -162,7 +162,8 @@ def test_features_csv(tmp_path):
     segments = [seg(xs[0]), seg(xs[1], Chamber.NULL)]
     matrix, paths, segments = feature_matrix(segments, PARAMS)
     out = tmp_path / "features.csv"
-    features_to_csv(matrix, paths, segments, out, "cmd=test")
+    table_to_csv(FeatureTable(matrix, path_names(paths), segments), out,
+                 "cmd=test")
     lines = out.read_text().splitlines()
     header = lines[1].split(",")
     assert header[0] == "S0"
