@@ -40,34 +40,47 @@ def boxcar_scale(mat, width):
     return out
 
 
-def best_split_column(values_sorted, classes_sorted, n_classes, min_leaf=1):
-    """Best Gini split of one pre-sorted feature column.
+def best_split_column(x, y, n_classes, min_leaf=1):
+    """Best Gini split over every column of a node's feature matrix.
 
-    Candidates are midpoints between consecutive distinct sorted values;
-    ties resolve to the lowest threshold. Returns (gain, threshold, ok).
+    Each column is sorted once (stably) and every midpoint between
+    consecutive distinct sorted values that leaves at least ``min_leaf``
+    rows on each side is scored. Ties resolve to the lowest feature,
+    then the lowest threshold. Returns (gain, threshold, feature), with
+    (-1.0, 0.0, -1) when no column has a candidate.
     """
     min_leaf = int(min_leaf)
-    n = values_sorted.shape[0]
-    change = np.nonzero(values_sorted[:-1] != values_sorted[1:])[0]
-    change = change[(change + 1 >= min_leaf) & (n - change - 1 >= min_leaf)]
-    if change.size == 0:
-        return -1.0, 0.0, False
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), classes_sorted] = 1.0
-    cum = np.cumsum(onehot, axis=0)
-    left = cum[change]
-    total = cum[-1]
+    n, n_features = x.shape
+    if n < 2 * min_leaf:
+        return -1.0, 0.0, -1
+    order = np.argsort(x, axis=0, kind="stable")
+    values = np.take_along_axis(x, order, axis=0)
+    cum = np.cumsum(y[order][:, :, None] == np.arange(n_classes), axis=0,
+                    dtype=np.float64)              # (n, features, classes)
+    total = cum[-1, 0]
+    left = cum[:-1]                                # rows 0..i go left
     right = total - left
-    n_left = (change + 1).astype(np.float64)
+    n_left = np.arange(1, n, dtype=np.float64)[:, None]
     n_right = n - n_left
-    gini_left = 1.0 - np.sum((left / n_left[:, None]) ** 2, axis=1)
-    gini_right = 1.0 - np.sum((right / n_right[:, None]) ** 2, axis=1)
+    left /= n_left[:, :, None]
+    left **= 2
+    right /= n_right[:, :, None]
+    right **= 2
+    gini_left = 1.0 - np.sum(left, axis=2)
+    gini_right = 1.0 - np.sum(right, axis=2)
     parent = 1.0 - np.sum((total / n) ** 2)
     gains = parent - (n_left / n) * gini_left - (n_right / n) * gini_right
-    best = int(np.argmax(gains))
-    i = change[best]
-    thr = 0.5 * (values_sorted[i] + values_sorted[i + 1])
-    return float(gains[best]), float(thr), True
+    candidate = ((values[:-1] != values[1:]) & (n_left >= min_leaf)
+                 & (n_right >= min_leaf))
+    gains[~candidate] = -np.inf
+    rows = np.argmax(gains, axis=0)                # lowest threshold
+    best = gains[rows, np.arange(n_features)]
+    f = int(np.argmax(best))                       # lowest feature
+    if best[f] == -np.inf:
+        return -1.0, 0.0, -1
+    i = rows[f]
+    thr = 0.5 * (values[i, f] + values[i + 1, f])
+    return float(best[f]), float(thr), f
 
 
 def _svm_gap(X, y, c_i, alpha, w):

@@ -26,8 +26,8 @@ class TrainerConfig:
     epochs: int = 300
     learning_rate: float = 0.1
     c: float = 1.0
-    tol: float = 1e-4
-    max_iter: int = 1000
+    tol: float = 1e-3
+    max_iter: int = 300
     balanced: bool = True
 
     def train(self, data: Dataset, seed: int):

@@ -1,4 +1,9 @@
-"""CART decision tree with Gini impurity and exhaustive midpoint scan."""
+"""CART decision tree with Gini impurity.
+
+Each node is split by one call of ``_kernels.best_split_column``, which
+scans every midpoint of every feature of the node at once; ties resolve
+to the lowest feature, then the lowest threshold.
+"""
 
 from __future__ import annotations
 
@@ -38,16 +43,7 @@ def _majority(labels: np.ndarray, n_classes: int) -> int:
 def _grow(x, y, n_classes, depth, max_depth, min_leaf):
     if depth >= max_depth or y.size < 2 * min_leaf or np.all(y == y[0]):
         return TreeNode(class_id=_majority(y, n_classes))
-    best = (-1.0, 0.0, -1)  # gain, threshold, feature
-    for f in range(x.shape[1]):
-        order = np.argsort(x[:, f], kind="stable")
-        gain, thr, ok = _kernels.best_split_column(
-            np.ascontiguousarray(x[order, f]),
-            np.ascontiguousarray(y[order]),
-            n_classes, min_leaf)
-        if ok and gain > best[0]:
-            best = (gain, thr, f)
-    gain, thr, f = best
+    _, thr, f = _kernels.best_split_column(x, y, n_classes, min_leaf)
     if f < 0:
         return TreeNode(class_id=_majority(y, n_classes))
     mask = x[:, f] < thr
@@ -63,10 +59,11 @@ def train_tree(data: Dataset, max_depth: int = 12, min_leaf: int = 1,
                seed: int = 0) -> DecisionTreeModel:
     """Grow a CART classifier.
 
-    Splits scan every feature and every midpoint between consecutive
-    distinct sorted values; ties resolve to the lowest feature index,
-    then the lowest threshold. The seed argument is accepted for
-    interface symmetry - the scan is fully deterministic.
+    Each node takes one split scan over all its features at once: every
+    midpoint between consecutive distinct sorted values of every feature
+    is scored, and ties resolve to the lowest feature index, then the
+    lowest threshold. The seed argument is accepted for interface
+    symmetry - the scan is fully deterministic.
     """
     del seed
     if max_depth < 1:

@@ -13,7 +13,7 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,11 +41,20 @@ class BankConfig:
     voices_per_octave: int = 10
     fmin: float = 1.0
     fmax: float = 100.0
+    _banks: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def build(self, n: int, fs: float):
         return build_filterbank(n, fs, MorseParams(self.gamma,
                                                    self.time_bandwidth),
                                 self.voices_per_octave, self.fmin, self.fmax)
+
+    def bank(self, n: int, fs: float):
+        """The bank for (n, fs), built on its first request only, so every
+        table given this config shares it."""
+        if (n, fs) not in self._banks:
+            self._banks[n, fs] = self.build(n, fs)
+        return self._banks[n, fs]
 
 
 def load_sessions(paths) -> list[RecordingSession]:
@@ -87,13 +96,11 @@ def cwt_table(sessions, channel: Channel, window_len: float, hop: float,
               bank_cfg: BankConfig) -> FeatureTable:
     """Per-scale magnitude mean and variance of each window."""
     rows, segs = [], []
-    bank_cache = {}
     columns = None
     for session in sessions:
         win, windows = chamber_windows(session, window_len, hop)
         n = session.hip.samples.size
-        key = (next_pow2(n), session.fs)
-        bank = bank_cache.setdefault(key, bank_cfg.build(*key))
+        bank = bank_cfg.bank(next_pow2(n), session.fs)
         scal = cwt(session.channel(channel), bank)
         mag = scalogram_magnitude(scal)
         valid = scal.valid_mask()
@@ -115,13 +122,11 @@ def wcoh_table(sessions, window_len: float, hop: float, bank_cfg: BankConfig,
                smoothing: SmoothingSpec) -> FeatureTable:
     """Per-scale mean coherence and circular-mean phase of each window."""
     rows, segs = [], []
-    bank_cache = {}
     columns = None
     for session in sessions:
         win, windows = chamber_windows(session, window_len, hop)
         n = session.hip.samples.size
-        key = (next_pow2(n), session.fs)
-        bank = bank_cache.setdefault(key, bank_cfg.build(*key))
+        bank = bank_cfg.bank(next_pow2(n), session.fs)
         cmap = coherence(cwt(session.hip, bank), cwt(session.nac, bank),
                          smoothing)
         valid = cmap.valid_mask() & np.isfinite(cmap.phase)

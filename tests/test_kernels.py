@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavescat._kernels import (best_split_column, boxcar_scale, boxcar_time,
                                svm_dual_solve)
 
-from oracles import brute_force_smooth
+from oracles import brute_force_smooth, split_scan_by_column
 
 
 def random_complex(seed, shape=(7, 48)):
@@ -31,14 +33,44 @@ def test_boxcar_real_matrices_too():
 
 
 def test_split_respects_min_leaf():
-    values = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    x = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
     classes = np.array([0, 0, 0, 1, 1, 1])
-    gain, thr, ok = best_split_column(values, classes, 2, 1)
-    assert ok and thr == pytest.approx(2.5)
-    gain, thr, ok = best_split_column(values, classes, 2, 3)
-    assert ok and thr == pytest.approx(2.5)
-    _, _, ok = best_split_column(values, classes, 2, 4)
-    assert not ok
+    gain, thr, f = best_split_column(x, classes, 2, 1)
+    assert f == 0 and thr == pytest.approx(2.5)
+    gain, thr, f = best_split_column(x, classes, 2, 3)
+    assert f == 0 and thr == pytest.approx(2.5)
+    assert best_split_column(x, classes, 2, 4) == (-1.0, 0.0, -1)
+
+
+@st.composite
+def split_nodes(draw):
+    """A node with heavily tied values, duplicated and constant columns."""
+    n = draw(st.integers(2, 40))
+    n_classes = draw(st.integers(2, 4))
+    n_cols = draw(st.integers(1, 5))
+    levels = draw(st.integers(1, 4))
+    cells = st.integers(0, levels - 1)
+    columns = [np.array(draw(st.lists(cells, min_size=n, max_size=n)),
+                        dtype=np.float64) for _ in range(n_cols)]
+    for _ in range(draw(st.integers(0, 2))):
+        columns.append(columns[draw(st.integers(0, n_cols - 1))].copy())
+    if draw(st.booleans()):
+        columns.append(np.full(n, float(draw(cells))))
+    order = draw(st.permutations(range(len(columns))))
+    x = np.column_stack([columns[i] for i in order])
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1),
+                               min_size=n, max_size=n)), dtype=np.int64)
+    return x, y, n_classes, draw(st.integers(1, 4))
+
+
+@given(split_nodes())
+@settings(max_examples=300, deadline=None)
+def test_node_split_scan_equals_per_column_oracle(node):
+    x, y, n_classes, min_leaf = node
+    got = best_split_column(x, y, n_classes, min_leaf)
+    expected = split_scan_by_column(x, y, n_classes, min_leaf)
+    assert got == expected
+    assert type(got[2]) is int
 
 
 def test_pg_solver_standalone_contract():

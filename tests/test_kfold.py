@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from wavescat.classify import (Dataset, TrainerConfig, confusion_stats,
                                predict, run_kfold, train_mlp, train_svm_ova,
                                train_tree)
+from wavescat.cli import OPTIONS
 from wavescat.errors import DataError
 
 
@@ -82,3 +85,17 @@ def test_grouped_folds_hold_out_whole_groups():
 def test_unknown_trainer_kind():
     with pytest.raises(DataError, match="unknown trainer"):
         TrainerConfig(kind="forest").train(blob_dataset(), 0)
+
+
+def test_trainer_defaults_match_the_cli():
+    shared = 0
+    for field in fields(TrainerConfig):
+        option = OPTIONS.get(field.name)
+        if option is None:
+            continue
+        shared += 1
+        default = option.default
+        if field.name == "hidden":
+            default = tuple(int(h) for h in default.split(","))
+        assert field.default == default, field.name
+    assert shared == 8

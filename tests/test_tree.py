@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from wavescat import _kernels
 from wavescat.classify import (Dataset, predict_tree, train_tree,
                                tree_complexity)
 from wavescat.classify.tree import DecisionTreeModel, TreeNode
 from wavescat.errors import DataError
+
+from oracles import split_scan_by_column
 
 
 def make(features, labels, names=("A", "B", "C")):
@@ -112,10 +115,33 @@ def test_monotone_feature_transform_leaves_predictions_unchanged():
 
 def test_tie_break_prefers_lowest_feature():
     # identical duplicated columns: must split on the lowest index
-    x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    data = make(x, [0, 0, 1, 1], names=("A", "B"))
-    model = train_tree(data, 3)
-    assert model.root.feature == 0
+    for copies in (2, 3):
+        x = np.repeat([[0.0], [1.0], [2.0], [3.0]], copies, axis=1)
+        data = make(x, [0, 0, 1, 1], names=("A", "B"))
+        model = train_tree(data, 3)
+        assert model.root.feature == 0
+
+
+def nodes(node):
+    """(feature, threshold, class_id) of every node, depth first."""
+    out = [(node.feature, node.threshold, node.class_id)]
+    if not node.is_leaf:
+        out += nodes(node.left) + nodes(node.right)
+    return out
+
+
+def test_tree_equals_tree_grown_with_per_column_scan(monkeypatch):
+    rng = np.random.default_rng(17)
+    x = rng.integers(0, 5, (120, 6)).astype(float)
+    x[:, 4] = x[:, 1]                    # a duplicated column
+    x[:, 5] = 2.0                        # a constant column
+    y = (x[:, 0] + x[:, 1] + rng.integers(0, 3, 120)) % 3
+    data = make(x, y)
+    got = train_tree(data, max_depth=8, min_leaf=3)
+    monkeypatch.setattr(_kernels, "best_split_column", split_scan_by_column)
+    expected = train_tree(data, max_depth=8, min_leaf=3)
+    assert nodes(got.root) == nodes(expected.root)
+    assert len(nodes(got.root)) > 7
 
 
 def test_predict_width_mismatch():
