@@ -40,6 +40,11 @@ def boxcar_scale(mat, width):
     return out
 
 
+# bytes the split scan's two float64 (rows x columns x classes) class-count
+# temporaries may take at once; wider nodes are scanned in column blocks
+SPLIT_SCAN_BYTES = 8 << 20
+
+
 def best_split_column(x, y, n_classes, min_leaf=1):
     """Best Gini split over every column of a node's feature matrix.
 
@@ -47,40 +52,47 @@ def best_split_column(x, y, n_classes, min_leaf=1):
     consecutive distinct sorted values that leaves at least ``min_leaf``
     rows on each side is scored. Ties resolve to the lowest feature,
     then the lowest threshold. Returns (gain, threshold, feature), with
-    (-1.0, 0.0, -1) when no column has a candidate.
+    (-1.0, 0.0, -1) when no column has a candidate. Columns are scored
+    in blocks that keep the temporaries within ``SPLIT_SCAN_BYTES``.
     """
     min_leaf = int(min_leaf)
     n, n_features = x.shape
+    best = (-1.0, 0.0, -1)                         # a Gini gain exceeds -1
     if n < 2 * min_leaf:
-        return -1.0, 0.0, -1
-    order = np.argsort(x, axis=0, kind="stable")
-    values = np.take_along_axis(x, order, axis=0)
-    cum = np.cumsum(y[order][:, :, None] == np.arange(n_classes), axis=0,
-                    dtype=np.float64)              # (n, features, classes)
-    total = cum[-1, 0]
-    left = cum[:-1]                                # rows 0..i go left
-    right = total - left
-    n_left = np.arange(1, n, dtype=np.float64)[:, None]
-    n_right = n - n_left
-    left /= n_left[:, :, None]
-    left **= 2
-    right /= n_right[:, :, None]
-    right **= 2
-    gini_left = 1.0 - np.sum(left, axis=2)
-    gini_right = 1.0 - np.sum(right, axis=2)
-    parent = 1.0 - np.sum((total / n) ** 2)
-    gains = parent - (n_left / n) * gini_left - (n_right / n) * gini_right
-    candidate = ((values[:-1] != values[1:]) & (n_left >= min_leaf)
-                 & (n_right >= min_leaf))
-    gains[~candidate] = -np.inf
-    rows = np.argmax(gains, axis=0)                # lowest threshold
-    best = gains[rows, np.arange(n_features)]
-    f = int(np.argmax(best))                       # lowest feature
-    if best[f] == -np.inf:
-        return -1.0, 0.0, -1
-    i = rows[f]
-    thr = 0.5 * (values[i, f] + values[i + 1, f])
-    return float(best[f]), float(thr), f
+        return best
+    width = max(1, SPLIT_SCAN_BYTES // (16 * n * n_classes))
+    for lo in range(0, n_features, width):
+        block = x[:, lo:lo + width]
+        order = np.argsort(block, axis=0, kind="stable")
+        values = np.take_along_axis(block, order, axis=0)
+        cum = np.cumsum(y[order][:, :, None] == np.arange(n_classes),
+                        axis=0, dtype=np.float64)  # (n, columns, classes)
+        total = cum[-1, 0]
+        left = cum[:-1]                            # rows 0..i go left
+        right = total - left
+        n_left = np.arange(1, n, dtype=np.float64)[:, None]
+        n_right = n - n_left
+        left /= n_left[:, :, None]
+        left **= 2
+        right /= n_right[:, :, None]
+        right **= 2
+        gini_left = 1.0 - np.sum(left, axis=2)
+        gini_right = 1.0 - np.sum(right, axis=2)
+        del cum, left, right                       # freed before next block
+        parent = 1.0 - np.sum((total / n) ** 2)
+        gains = (parent - (n_left / n) * gini_left
+                 - (n_right / n) * gini_right)
+        candidate = ((values[:-1] != values[1:]) & (n_left >= min_leaf)
+                     & (n_right >= min_leaf))
+        gains[~candidate] = -np.inf
+        rows = np.argmax(gains, axis=0)            # lowest threshold
+        top = gains[rows, np.arange(block.shape[1])]
+        f = int(np.argmax(top))                    # lowest feature
+        if top[f] > best[0]:                       # ties keep earlier blocks
+            i = rows[f]
+            thr = 0.5 * (values[i, f] + values[i + 1, f])
+            best = (float(top[f]), float(thr), lo + f)
+    return best
 
 
 def _svm_gap(X, y, c_i, alpha, w):

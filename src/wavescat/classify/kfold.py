@@ -28,7 +28,6 @@ class TrainerConfig:
     c: float = 1.0
     tol: float = 1e-3
     max_iter: int = 300
-    balanced: bool = True
 
     def train(self, data: Dataset, seed: int):
         if self.kind == "dt":
@@ -37,8 +36,7 @@ class TrainerConfig:
             return train_mlp(data, self.hidden, self.epochs,
                              self.learning_rate, seed)
         if self.kind == "svm":
-            return train_svm_ova(data, self.c, self.tol, self.max_iter,
-                                 self.balanced)
+            return train_svm_ova(data, self.c, self.tol, self.max_iter)
         raise DataError(f"unknown trainer kind {self.kind!r}")
 
 

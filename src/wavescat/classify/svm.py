@@ -1,10 +1,10 @@
 """One-vs-all soft-margin linear SVM over standardized features.
 
 Each class gets one hinge-loss, L2-regularized binary machine; the bias
-rides along as a regularized constant column. By default the per-sample
-penalty is class-balanced (C scaled by n / (2 * n_side)) so heavily
-uneven one-vs-rest splits do not collapse onto the majority side; with
-equal class sizes this reduces to plain C. Machines solve the dual to a
+rides along as a regularized constant column. The per-sample penalty
+is class-balanced (C scaled by n / (2 * n_side)) so heavily uneven
+one-vs-rest splits do not collapse onto the majority side; with equal
+class sizes this reduces to plain C. Machines solve the dual to a
 relative duality gap of ``tol`` or stop at the epoch limit, flagged.
 """
 
@@ -33,8 +33,8 @@ class OvaSvmModel:
     n_classes: int
 
 
-def train_svm_ova(data: Dataset, c: float = 1.0, tol: float = 1e-4,
-                  max_iter: int = 1000, balanced: bool = True) -> OvaSvmModel:
+def train_svm_ova(data: Dataset, c: float = 1.0, tol: float = 1e-3,
+                  max_iter: int = 300) -> OvaSvmModel:
     if c <= 0:
         raise DataError("C must be positive")
     if data.n_classes < 2:
@@ -57,7 +57,7 @@ def train_svm_ova(data: Dataset, c: float = 1.0, tol: float = 1e-4,
     for cls in range(n_classes):
         y = np.where(data.labels == cls, 1.0, -1.0)
         n_pos = int(present[cls])
-        if balanced and 0 < n_pos < n:
+        if 0 < n_pos < n:
             c_i = np.where(y > 0, c * n / (2.0 * n_pos),
                            c * n / (2.0 * (n - n_pos)))
         else:

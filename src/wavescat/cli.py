@@ -409,8 +409,8 @@ def cmd_report(cfg: Config):
     if not sessions:
         raise DataError("no session matches the rat/phase selection")
     session = sessions[0]
-    bank = _bank_config(cfg).build(next_pow2(session.hip.samples.size),
-                                   session.fs)
+    bank = _bank_config(cfg).bank(next_pow2(session.hip.samples.size),
+                                  session.fs)
     out_dir = cfg.get("out")
     os.makedirs(out_dir, exist_ok=True)
     stem = f"{session.rat_id}_{session.phase.value}"

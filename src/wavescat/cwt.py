@@ -41,10 +41,6 @@ class Scalogram:
     def n_scales(self) -> int:
         return self.coefficients.shape[0]
 
-    @property
-    def n_times(self) -> int:
-        return self.coefficients.shape[1]
-
     def valid_mask(self) -> np.ndarray:
         """Boolean (scales x time) mask of COI-reliable cells."""
         return self.scale_axis[:, None] >= self.coi[None, :]

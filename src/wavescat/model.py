@@ -274,9 +274,9 @@ def load_session(path) -> RecordingSession:
 
 
 def chamber_windows(session: RecordingSession, window_len: float,
-                    hop: float) -> tuple[int, list[tuple[int, Chamber]]]:
-    """Window length in samples and the (start sample, chamber) of every
-    chamber-constant window.
+                    hop: float) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """Window length and hop in samples, then the start sample and the
+    chamber code of every chamber-constant window.
 
     Windows are [t, t + window_len) on the hop grid; any window whose
     samples span a chamber transition (or precede the first track fix)
@@ -297,25 +297,24 @@ def chamber_windows(session: RecordingSession, window_len: float,
     if win > n:
         raise DataError("window longer than the session")
     codes = session.chamber_per_sample()
-    windows = []
-    for start in range(0, n - win + 1, step):
-        code = codes[start]
-        if code >= 0 and not np.any(codes[start:start + win] != code):
-            windows.append((start, Chamber(int(code))))
-    return win, windows
+    run_ends = np.append(np.flatnonzero(codes[1:] != codes[:-1]), n - 1)
+    starts = np.arange(0, n - win + 1, step)
+    run_end = run_ends[np.searchsorted(run_ends, starts)]  # of start's run
+    starts = starts[(codes[starts] >= 0) & (run_end >= starts + win - 1)]
+    return win, step, starts, codes[starts]
 
 
 def segment_by_chamber(session: RecordingSession, window_len: float,
                        hop: float) -> list[Segment]:
     """Cut both channels into the windows of ``chamber_windows``; emits
     the HIP segment then the NAc segment per window."""
-    win, windows = chamber_windows(session, window_len, hop)
+    win, _, starts, codes = chamber_windows(session, window_len, hop)
     segments: list[Segment] = []
-    for start, chamber in windows:
+    for start, code in zip(starts.tolist(), codes.tolist()):
         for chan in (Channel.HIP, Channel.NAC):
             data = session.channel(chan).samples[start:start + win].copy()
             segments.append(Segment(data, session.group, session.phase,
-                                    chan, chamber, start / session.fs,
+                                    chan, Chamber(code), start / session.fs,
                                     session.rat_id))
     return segments
 

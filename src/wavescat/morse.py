@@ -41,10 +41,6 @@ class MorseParams:
         if self.gamma <= 0 or self.time_bandwidth <= 0:
             raise DataError("gamma and time_bandwidth must be positive")
 
-    @property
-    def beta(self) -> float:
-        return self.time_bandwidth / self.gamma
-
 
 def morse_hat(omega, params: MorseParams):
     """Frequency response at radian frequency ``omega`` (0 for omega <= 0).

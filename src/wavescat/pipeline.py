@@ -1,21 +1,24 @@
 """Session-to-dataset plumbing shared by the CLI workflows.
 
-CWT and coherence features are reduced from *session-level* transforms:
-the whole recording is transformed once per channel, then each
-chamber-constant window is summarized per scale. Cells inside the cone
-of influence are preferred; a (scale, window) pair with no reliable
-cell falls back to the plain window mean so every window still yields a
-complete feature row (the contamination is identical across
-equal-length sessions and adds no label information). Scattering
-features are computed per segment, matching ``scattering.scatter``
-bit for bit.
+CWT and coherence features come from *session-level* transforms, one
+pass per session: each channel is transformed once, then every kept
+window on the hop grid is summarized per scale at once, and the
+session's scalogram-sized arrays are freed once its rows exist. The one
+COI rule, ``_coi_mean``, averages a window's cells inside the cone of
+influence (Torrence & Compo 1998) or, for a scale with none, the whole
+window, so every window yields a complete row (the contamination is
+identical across equal-length sessions and adds no label information).
+Scattering features are computed per segment, matching
+``scattering.scatter`` bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coherence import SmoothingSpec, coherence
 from .csvfile import write_csv
@@ -26,7 +29,7 @@ from .model import (Chamber, Channel, Group, Phase, RecordingSession,
                     segment_by_chamber)
 from .morse import MorseParams, build_filterbank
 from .classify import Dataset
-from .scattering import ScatteringParams, feature_matrix
+from .scattering import ScatteringParams, feature_matrix, path_names
 
 JOINT_CHANNELS = (Channel.HIP, Channel.NAC)
 JOINT_PHASES = (Phase.POST, Phase.PRE)
@@ -44,16 +47,12 @@ class BankConfig:
     _banks: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
-    def build(self, n: int, fs: float):
-        return build_filterbank(n, fs, MorseParams(self.gamma,
-                                                   self.time_bandwidth),
-                                self.voices_per_octave, self.fmin, self.fmax)
-
     def bank(self, n: int, fs: float):
-        """The bank for (n, fs), built on its first request only, so every
-        table given this config shares it."""
+        """The (n, fs) bank, built on its first request, then shared."""
         if (n, fs) not in self._banks:
-            self._banks[n, fs] = self.build(n, fs)
+            self._banks[n, fs] = build_filterbank(
+                n, fs, MorseParams(self.gamma, self.time_bandwidth),
+                self.voices_per_octave, self.fmin, self.fmax)
         return self._banks[n, fs]
 
 
@@ -62,21 +61,6 @@ def load_sessions(paths) -> list[RecordingSession]:
     sessions = [load_session(p) for p in paths]
     sessions.sort(key=lambda s: (s.rat_id, s.group.value, s.phase.value))
     return sessions
-
-
-def _masked_window_stats(mag, valid, start, win):
-    """Per-scale mean and variance over one window, COI cells preferred."""
-    block = mag[:, start:start + win]
-    mask = valid[:, start:start + win]
-    counts = mask.sum(axis=1)
-    sums = np.where(mask, block, 0.0).sum(axis=1)
-    sq = np.where(mask, block ** 2, 0.0).sum(axis=1)
-    mean_all = block.mean(axis=1)
-    var_all = block.var(axis=1)
-    ok = counts > 0
-    mean = np.where(ok, sums / np.maximum(counts, 1), mean_all)
-    var = np.where(ok, sq / np.maximum(counts, 1) - mean ** 2, var_all)
-    return mean, np.maximum(var, 0.0)
 
 
 @dataclass
@@ -92,75 +76,88 @@ class FeatureTable:
         return self.channel_label or seg.channel.display
 
 
+def _window_sums(mat, grid):
+    """(rows x kept windows) sums of ``mat``, each window one pairwise sum
+    over a contiguous row slice; ``grid`` is (win, step, starts)."""
+    win, step, starts = grid
+    sums = sliding_window_view(mat, win, axis=1)[:, ::step].sum(axis=2)
+    return sums[:, starts // step]
+
+
+def _coi_mean(mat, valid, grid):
+    """The COI-preferred mean: each row's mean over a window's ``valid``
+    cells, or over the whole window where it has none; and their counts."""
+    win, _, starts = grid
+    counts = _window_sums(valid, grid)
+    sums = _window_sums(np.where(valid, mat, 0.0), grid)
+    mean = sums / np.maximum(counts, 1)
+    for j, w in zip(*np.nonzero(counts == 0)):
+        mean[j, w] = mat[j, starts[w]:starts[w] + win].mean()
+    return mean, counts
+
+
+def _cwt_rows(channel, session, bank, grid):
+    scal = cwt(session.channel(channel), bank)
+    mag, valid = scalogram_magnitude(scal), scal.valid_mask()
+    del scal                      # the complex coefficients, freed early
+    mean, counts = _coi_mean(mag, valid, grid)
+    sq = _window_sums(np.where(valid, mag ** 2, 0.0), grid)
+    var = sq / np.maximum(counts, 1) - mean ** 2
+    win, _, starts = grid
+    for j, w in zip(*np.nonzero(counts == 0)):
+        var[j, w] = mag[j, starts[w]:starts[w] + win].var()
+    return np.concatenate([mean, np.maximum(var, 0.0)])
+
+
+def _wcoh_rows(smoothing, session, bank, grid):
+    cmap = coherence(cwt(session.hip, bank), cwt(session.nac, bank),
+                     smoothing)
+    valid = cmap.valid_mask() & np.isfinite(cmap.phase)
+    coh_mean, counts = _coi_mean(cmap.coherence, valid, grid)
+    sin = _window_sums(np.where(valid, np.sin(cmap.phase), 0.0), grid)
+    cos = _window_sums(np.where(valid, np.cos(cmap.phase), 0.0), grid)
+    phase_mean = np.where(counts > 0, np.arctan2(sin, cos), 0.0)
+    return np.concatenate([coh_mean, phase_mean])
+
+
+def _window_table(sessions, window_len, hop, bank_cfg, session_rows, names,
+                  channel, label=None) -> FeatureTable:
+    """A row per kept window of every session; ``session_rows(session,
+    bank, grid)`` returns one session's (features x windows) block."""
+    blocks, segs = [], []
+    for session in sessions:
+        win, step, starts, codes = chamber_windows(session, window_len, hop)
+        bank = bank_cfg.bank(next_pow2(session.hip.samples.size), session.fs)
+        blocks.append(session_rows(session, bank, (win, step, starts)).T)
+        segs += [Segment(np.empty(0), session.group, session.phase, channel,
+                         Chamber(code), start / session.fs, session.rat_id)
+                 for start, code in zip(starts.tolist(), codes.tolist())]
+    if not segs:
+        raise DataError("no chamber-constant windows found")
+    # every bank of one config has the same center frequencies
+    columns = [f"{name}[{f:.4g}]" for name in names
+               for f in bank.center_frequencies]
+    return FeatureTable(np.concatenate(blocks), columns, segs, label)
+
+
 def cwt_table(sessions, channel: Channel, window_len: float, hop: float,
               bank_cfg: BankConfig) -> FeatureTable:
     """Per-scale magnitude mean and variance of each window."""
-    rows, segs = [], []
-    columns = None
-    for session in sessions:
-        win, windows = chamber_windows(session, window_len, hop)
-        n = session.hip.samples.size
-        bank = bank_cfg.bank(next_pow2(n), session.fs)
-        scal = cwt(session.channel(channel), bank)
-        mag = scalogram_magnitude(scal)
-        valid = scal.valid_mask()
-        if columns is None:
-            columns = [f"cwt_mean[{f:.4g}]" for f in scal.scale_axis]
-            columns += [f"cwt_var[{f:.4g}]" for f in scal.scale_axis]
-        for start, chamber in windows:
-            mean, var = _masked_window_stats(mag, valid, start, win)
-            rows.append(np.concatenate([mean, var]))
-            segs.append(Segment(np.empty(0), session.group, session.phase,
-                                channel, chamber, start / session.fs,
-                                session.rat_id))
-    if not rows:
-        raise DataError("no chamber-constant windows found")
-    return FeatureTable(np.array(rows), columns, segs)
+    return _window_table(sessions, window_len, hop, bank_cfg,
+                         partial(_cwt_rows, channel), ("cwt_mean", "cwt_var"),
+                         channel)
 
 
 def wcoh_table(sessions, window_len: float, hop: float, bank_cfg: BankConfig,
                smoothing: SmoothingSpec) -> FeatureTable:
     """Per-scale mean coherence and circular-mean phase of each window."""
-    rows, segs = [], []
-    columns = None
-    for session in sessions:
-        win, windows = chamber_windows(session, window_len, hop)
-        n = session.hip.samples.size
-        bank = bank_cfg.bank(next_pow2(n), session.fs)
-        cmap = coherence(cwt(session.hip, bank), cwt(session.nac, bank),
-                         smoothing)
-        valid = cmap.valid_mask() & np.isfinite(cmap.phase)
-        coh = cmap.coherence
-        sin = np.where(valid, np.sin(cmap.phase), 0.0)
-        cos = np.where(valid, np.cos(cmap.phase), 0.0)
-        if columns is None:
-            columns = [f"coh_mean[{f:.4g}]" for f in cmap.scale_axis]
-            columns += [f"phase_mean[{f:.4g}]" for f in cmap.scale_axis]
-        for start, chamber in windows:
-            sl = slice(start, start + win)
-            mask = valid[:, sl]
-            counts = mask.sum(axis=1)
-            ok = counts > 0
-            coh_mean = np.where(
-                ok,
-                np.where(mask, coh[:, sl], 0.0).sum(axis=1)
-                / np.maximum(counts, 1),
-                coh[:, sl].mean(axis=1))
-            mean_sin = sin[:, sl].sum(axis=1)
-            mean_cos = cos[:, sl].sum(axis=1)
-            phase_mean = np.where(ok, np.arctan2(mean_sin, mean_cos), 0.0)
-            rows.append(np.concatenate([coh_mean, phase_mean]))
-            segs.append(Segment(np.empty(0), session.group, session.phase,
-                                Channel.HIP, chamber, start / session.fs,
-                                session.rat_id))
-    if not rows:
-        raise DataError("no chamber-constant windows found")
-    return FeatureTable(np.array(rows), columns, segs, channel_label="HIP-NAc")
+    return _window_table(sessions, window_len, hop, bank_cfg,
+                         partial(_wcoh_rows, smoothing),
+                         ("coh_mean", "phase_mean"), Channel.HIP, "HIP-NAc")
 
 
 def scatter_table(sessions, window_len: float, hop: float,
                   params: ScatteringParams) -> FeatureTable:
-    from .scattering import path_names
     segments = []
     for session in sessions:
         segments.extend(segment_by_chamber(session, window_len, hop))

@@ -37,7 +37,6 @@ class ScatteringParams:
     q1: int = 8
     q2: int = 1
     fs: float = 1000.0
-    max_order: int = 2
     fmin: float | None = None
     fmax: float = 100.0
     gamma: float = 3.0
@@ -47,8 +46,6 @@ class ScatteringParams:
             raise DataError("invariance scale T must be positive")
         if not (self.q1 >= self.q2 >= 1):
             raise DataError("need Q1 >= Q2 >= 1")
-        if self.max_order != 2:
-            raise DataError("only two wavelet orders are supported")
 
     @property
     def band_min(self) -> float:

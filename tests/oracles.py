@@ -3,10 +3,18 @@
 Nothing here reuses the library's transform paths: peaks come from a
 bracketing search plus parabolic refinement, the reference CWT is a
 direct O(N^2) DFT evaluation, smoothing is a literal double loop and
-the CART split scan sorts and scores one feature column at a time.
+the CART split scan sorts and scores one feature column at a time. The
+window reductions are the exception: they run the library's CWT and
+coherence, then test each hop-grid start and reduce each window on its
+own, one Python iteration per window.
 """
 
 import numpy as np
+
+from wavescat.coherence import coherence
+from wavescat.cwt import cwt, scalogram_magnitude
+from wavescat.errors import DataError
+from wavescat.model import Chamber
 
 
 def _parabolic_vertex(fn, w0, h):
@@ -135,3 +143,88 @@ def split_scan_by_column(x, y, n_classes, min_leaf=1):
         if ok and gain > best[0]:
             best = (gain, thr, f)
     return best
+
+
+def chamber_windows_by_start(session, window_len, hop):
+    """Window length in samples and the (start sample, chamber) of every
+    chamber-constant window, testing one hop-grid start at a time."""
+    if window_len <= 0 or hop <= 0:
+        raise DataError("window_len and hop must be positive")
+    if not session.track:
+        raise DataError("track is empty")
+    fs = session.fs
+    win = int(round(window_len * fs))
+    step = int(round(hop * fs))
+    if win < 2:
+        raise DataError("window shorter than two samples")
+    if step < 1:
+        raise DataError("hop shorter than one sample")
+    n = session.hip.samples.size
+    if win > n:
+        raise DataError("window longer than the session")
+    codes = session.chamber_per_sample()
+    windows = []
+    for start in range(0, n - win + 1, step):
+        code = codes[start]
+        if code >= 0 and not np.any(codes[start:start + win] != code):
+            windows.append((start, Chamber(int(code))))
+    return win, windows
+
+
+def masked_window_stats(mag, valid, start, win):
+    """Per-scale mean and variance over one window, COI cells preferred."""
+    block = mag[:, start:start + win]
+    mask = valid[:, start:start + win]
+    counts = mask.sum(axis=1)
+    sums = np.where(mask, block, 0.0).sum(axis=1)
+    sq = np.where(mask, block ** 2, 0.0).sum(axis=1)
+    mean_all = block.mean(axis=1)
+    var_all = block.var(axis=1)
+    ok = counts > 0
+    mean = np.where(ok, sums / np.maximum(counts, 1), mean_all)
+    var = np.where(ok, sq / np.maximum(counts, 1) - mean ** 2, var_all)
+    return mean, np.maximum(var, 0.0)
+
+
+def cwt_rows_by_window(session, channel, window_len, hop, bank):
+    """One session's CWT feature rows, one window at a time, and the
+    number of (scale, window) cells with no COI-reliable cell."""
+    win, windows = chamber_windows_by_start(session, window_len, hop)
+    scal = cwt(session.channel(channel), bank)
+    mag = scalogram_magnitude(scal)
+    valid = scal.valid_mask()
+    rows, fallback = [], 0
+    for start, chamber in windows:
+        mean, var = masked_window_stats(mag, valid, start, win)
+        rows.append(np.concatenate([mean, var]))
+        fallback += int((valid[:, start:start + win].sum(axis=1) == 0).sum())
+    return rows, fallback
+
+
+def wcoh_rows_by_window(session, window_len, hop, bank, smoothing):
+    """One session's coherence feature rows, one window at a time, and
+    the number of (scale, window) cells with no COI-reliable cell."""
+    win, windows = chamber_windows_by_start(session, window_len, hop)
+    cmap = coherence(cwt(session.hip, bank), cwt(session.nac, bank),
+                     smoothing)
+    valid = cmap.valid_mask() & np.isfinite(cmap.phase)
+    coh = cmap.coherence
+    sin = np.where(valid, np.sin(cmap.phase), 0.0)
+    cos = np.where(valid, np.cos(cmap.phase), 0.0)
+    rows, fallback = [], 0
+    for start, chamber in windows:
+        sl = slice(start, start + win)
+        mask = valid[:, sl]
+        counts = mask.sum(axis=1)
+        ok = counts > 0
+        coh_mean = np.where(
+            ok,
+            np.where(mask, coh[:, sl], 0.0).sum(axis=1)
+            / np.maximum(counts, 1),
+            coh[:, sl].mean(axis=1))
+        mean_sin = sin[:, sl].sum(axis=1)
+        mean_cos = cos[:, sl].sum(axis=1)
+        phase_mean = np.where(ok, np.arctan2(mean_sin, mean_cos), 0.0)
+        rows.append(np.concatenate([coh_mean, phase_mean]))
+        fallback += int((~ok).sum())
+    return rows, fallback

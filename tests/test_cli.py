@@ -9,14 +9,16 @@ import pytest
 from wavescat.classify import ConfusionMatrix, confusion_to_csv
 from wavescat import cli
 from wavescat.cli import build_parser, main
-from wavescat.model import (Chamber, PositionSample, load_session,
+from wavescat.coherence import SmoothingSpec
+from wavescat.model import (Chamber, Channel, PositionSample, load_session,
                             save_session)
-from wavescat.pipeline import load_sessions
+from wavescat.pipeline import BankConfig, load_sessions
 from wavescat.scattering import ScatteringParams, scatter
 from wavescat.synth import SynthSpec
 
 from conftest import make_session
 from figdata import CLASS_NAMES, COUNTS, PRINTED_MACRO
+from oracles import cwt_rows_by_window, wcoh_rows_by_window
 
 
 def tree_digest(root):
@@ -126,6 +128,41 @@ def test_features_scatter_matches_library_bitwise(tmp_path,
         got = np.array([float(v) for v in line.split(",")[:-4]])
         expected = scatter(seg.samples, params).values
         assert np.array_equal(got, expected)
+
+
+def test_features_cwt_and_wcoh_match_per_window_oracle(tmp_path):
+    rng = np.random.default_rng(21)
+    track = [PositionSample(0.3, Chamber.NULL),
+             PositionSample(4.1, Chamber.REWARDED),
+             PositionSample(8.0, Chamber.UNREWARDED)]
+    data = tmp_path / "data"
+    data.mkdir()
+    for rat in ("rat1", "rat2"):
+        session = make_session(rng.standard_normal(3000),
+                               rng.standard_normal(3000), fs=250.0,
+                               track=track, rat=rat)
+        save_session(session, data / f"{rat}_food_post.wscat")
+    sessions = load_sessions(sorted(str(p) for p in data.iterdir()))
+    bank = BankConfig().bank(4096, 250.0)
+    runs = (("cwt", "features_cwt_hip.csv",
+             lambda s: cwt_rows_by_window(s, Channel.HIP, 1.0, 0.5, bank)),
+            ("wcoh", "features_wcoh.csv",
+             lambda s: wcoh_rows_by_window(s, 1.0, 0.5, bank,
+                                           SmoothingSpec())))
+    for kind, name, oracle in runs:
+        out = tmp_path / kind
+        assert main(["features", kind, "--data", str(data),
+                     "--out", str(out)]) == 0
+        lines = (out / name).read_text().splitlines()[2:]
+        rows, fallback = [], 0
+        for session in sessions:
+            session_rows, session_fallback = oracle(session)
+            rows += session_rows
+            fallback += session_fallback
+        assert fallback > 0 and len(lines) == len(rows) > 0
+        for line, row in zip(lines, rows):
+            got = np.array([float(v) for v in line.split(",")[:-4]])
+            assert got.tobytes() == row.tobytes()
 
 
 def test_features_on_empty_dir_exits_3(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Contracts of the smoothing, split-scan and SVM kernels."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavescat import _kernels
 from wavescat._kernels import (best_split_column, boxcar_scale, boxcar_time,
                                svm_dual_solve)
 
@@ -60,17 +63,21 @@ def split_nodes(draw):
     x = np.column_stack([columns[i] for i in order])
     y = np.array(draw(st.lists(st.integers(0, n_classes - 1),
                                min_size=n, max_size=n)), dtype=np.int64)
-    return x, y, n_classes, draw(st.integers(1, 4))
+    return x, y, n_classes, draw(st.integers(1, 4)), draw(st.integers(1, 3))
 
 
 @given(split_nodes())
 @settings(max_examples=300, deadline=None)
 def test_node_split_scan_equals_per_column_oracle(node):
-    x, y, n_classes, min_leaf = node
+    x, y, n_classes, min_leaf, block_width = node
     got = best_split_column(x, y, n_classes, min_leaf)
     expected = split_scan_by_column(x, y, n_classes, min_leaf)
     assert got == expected
     assert type(got[2]) is int
+    # a budget of block_width columns scans wider nodes in several blocks
+    budget = 16 * x.shape[0] * n_classes * block_width
+    with patch.object(_kernels, "SPLIT_SCAN_BYTES", budget):
+        assert best_split_column(x, y, n_classes, min_leaf) == expected
 
 
 def test_pg_solver_standalone_contract():

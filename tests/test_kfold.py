@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import fields
 
 import numpy as np
@@ -87,15 +88,23 @@ def test_unknown_trainer_kind():
         TrainerConfig(kind="forest").train(blob_dataset(), 0)
 
 
+def _cli_default(name):
+    default = OPTIONS[name].default
+    if name == "hidden":
+        return tuple(int(h) for h in default.split(","))
+    return default
+
+
 def test_trainer_defaults_match_the_cli():
-    shared = 0
-    for field in fields(TrainerConfig):
-        option = OPTIONS.get(field.name)
-        if option is None:
-            continue
-        shared += 1
-        default = option.default
-        if field.name == "hidden":
-            default = tuple(int(h) for h in default.split(","))
-        assert field.default == default, field.name
-    assert shared == 8
+    shared = [f for f in fields(TrainerConfig) if f.name in OPTIONS]
+    assert len(shared) == 8
+    for field in shared:
+        assert field.default == _cli_default(field.name), field.name
+    names = {f.name for f in shared}
+    checked = 0
+    for trainer in (train_svm_ova, train_tree, train_mlp):
+        for name, param in inspect.signature(trainer).parameters.items():
+            if name in names:
+                checked += 1
+                assert param.default == _cli_default(name), (trainer, name)
+    assert checked == 8

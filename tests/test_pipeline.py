@@ -1,10 +1,19 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wavescat import pipeline
 from wavescat.coherence import SmoothingSpec
-from wavescat.model import Channel
+from wavescat.cwt import next_pow2
+from wavescat.model import Chamber, Channel, PositionSample, chamber_windows
 from wavescat.pipeline import BankConfig, cwt_table, wcoh_table
 
 from conftest import make_session
+from oracles import (chamber_windows_by_start, cwt_rows_by_window,
+                     wcoh_rows_by_window)
+
+# few voices keep each drawn example's transforms small
+BANK = BankConfig(voices_per_octave=3)
 
 
 def test_equal_length_sessions_share_one_filter_bank(monkeypatch):
@@ -13,15 +22,81 @@ def test_equal_length_sessions_share_one_filter_bank(monkeypatch):
                              rng.standard_normal(2000), fs=250.0,
                              rat=f"rat{i}") for i in range(3)]
     builds = []
-    original = BankConfig.build
+    original = pipeline.build_filterbank
 
-    def counting_build(self, n, fs):
+    def counting_build(n, fs, *args):
         builds.append((n, fs))
-        return original(self, n, fs)
+        return original(n, fs, *args)
 
-    monkeypatch.setattr(BankConfig, "build", counting_build)
+    monkeypatch.setattr(pipeline, "build_filterbank", counting_build)
     bank_cfg = BankConfig()
     cwt_table(sessions, Channel.HIP, 1.0, 1.0, bank_cfg)
     cwt_table(sessions, Channel.NAC, 1.0, 1.0, bank_cfg)
     wcoh_table(sessions, 1.0, 1.0, bank_cfg, SmoothingSpec())
     assert builds == [(2048, 250.0)]
+
+
+@st.composite
+def tracked_sessions(draw, min_s, max_s):
+    """A 250 Hz session with a random track, whose first fix may come
+    after t = 0, and a window and hop from one sample upward."""
+    fs = 250.0
+    n = int(draw(st.floats(min_s, max_s)) * fs)
+    times = sorted(set(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                     max_size=6))))
+    track = [PositionSample(t / fs, Chamber(draw(st.integers(0, 2))))
+             for t in times]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    session = make_session(rng.standard_normal(n), rng.standard_normal(n),
+                           fs=fs, track=track)
+    window_len = draw(st.integers(2, min(n, 400))) / fs
+    hop = draw(st.one_of(st.just(1), st.integers(1, 600))) / fs
+    return session, window_len, hop
+
+
+@given(tracked_sessions(0.1, 20.0))
+@settings(max_examples=300, deadline=None)
+def test_chamber_windows_equal_per_start_oracle(drawn):
+    session, window_len, hop = drawn
+    win, step, starts, codes = chamber_windows(session, window_len, hop)
+    expected_win, expected = chamber_windows_by_start(session, window_len,
+                                                      hop)
+    assert win == expected_win and step == int(round(hop * session.fs))
+    assert starts.tolist() == [start for start, _ in expected]
+    assert [Chamber(c) for c in codes.tolist()] == [c for _, c in expected]
+
+
+def _assert_rows_equal(table, rows):
+    expected = np.array(rows)
+    assert table.matrix.shape == expected.shape
+    assert table.matrix.tobytes() == expected.tobytes()
+
+
+# sessions under 4.8 s lie inside the lowest voice's cone of influence
+# (its e-folding time is 2.45 s), so every window has fallback cells
+@given(tracked_sessions(1.0, 4.8))
+@settings(max_examples=40, deadline=None)
+def test_cwt_table_equals_per_window_oracle(drawn):
+    session, window_len, hop = drawn
+    bank = BANK.bank(next_pow2(session.hip.samples.size), session.fs)
+    rows, fallback = cwt_rows_by_window(session, Channel.NAC, window_len,
+                                        hop, bank)
+    if not rows:
+        return
+    assert fallback > 0
+    _assert_rows_equal(cwt_table([session], Channel.NAC, window_len, hop,
+                                 BANK), rows)
+
+
+@given(tracked_sessions(1.0, 4.8))
+@settings(max_examples=40, deadline=None)
+def test_wcoh_table_equals_per_window_oracle(drawn):
+    session, window_len, hop = drawn
+    bank = BANK.bank(next_pow2(session.hip.samples.size), session.fs)
+    rows, fallback = wcoh_rows_by_window(session, window_len, hop, bank,
+                                         SmoothingSpec())
+    if not rows:
+        return
+    assert fallback > 0
+    _assert_rows_equal(wcoh_table([session], window_len, hop, BANK,
+                                  SmoothingSpec()), rows)

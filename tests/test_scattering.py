@@ -148,8 +148,6 @@ def test_params_validation():
         ScatteringParams(t=-1.0)
     with pytest.raises(DataError):
         ScatteringParams(q1=1, q2=4)
-    with pytest.raises(DataError):
-        ScatteringParams(max_order=3)
 
 
 def test_band_defaults_follow_invariance_scale():
