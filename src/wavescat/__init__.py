@@ -8,8 +8,7 @@ from .cwt import Scalogram, cwt, scalogram_magnitude
 from .errors import BundleFormatError, DataError, NumericalError
 from .model import (Chamber, Channel, Group, Phase, PositionSample,
                     RecordingSession, Segment, TimeSeries, load_session,
-                    save_session, segment_by_chamber, split_folds,
-                    stratified_folds)
+                    save_session, segment_by_chamber, stratified_folds)
 from .morse import FilterBank, MorseParams, build_filterbank, morse_hat, \
     peak_frequency
 from .scattering import (ScatteringFeatures, ScatteringParams,
@@ -26,8 +25,7 @@ __all__ = [
     "BundleFormatError", "DataError", "NumericalError",
     "Chamber", "Channel", "Group", "Phase", "PositionSample",
     "RecordingSession", "Segment", "TimeSeries",
-    "load_session", "save_session", "segment_by_chamber", "split_folds",
-    "stratified_folds",
+    "load_session", "save_session", "segment_by_chamber", "stratified_folds",
     "FilterBank", "MorseParams", "build_filterbank", "morse_hat",
     "peak_frequency",
     "Scalogram", "cwt", "scalogram_magnitude",

@@ -2,42 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import DataError
 from ..model import stratified_folds
 from .data import Dataset
 from .metrics import ConfusionMatrix
-from .mlp import MlpModel, predict_mlp, train_mlp
-from .svm import OvaSvmModel, predict_svm, train_svm_ova
-from .tree import DecisionTreeModel, predict_tree, train_tree
-
-
-@dataclass(frozen=True)
-class TrainerConfig:
-    """Which classifier to run and with what hyperparameters."""
-
-    kind: str = "svm"                      # dt | mlp | svm
-    max_depth: int = 12
-    min_leaf: int = 1
-    hidden: tuple = (64,)
-    epochs: int = 300
-    learning_rate: float = 0.1
-    c: float = 1.0
-    tol: float = 1e-3
-    max_iter: int = 300
-
-    def train(self, data: Dataset, seed: int):
-        if self.kind == "dt":
-            return train_tree(data, self.max_depth, self.min_leaf, seed)
-        if self.kind == "mlp":
-            return train_mlp(data, self.hidden, self.epochs,
-                             self.learning_rate, seed)
-        if self.kind == "svm":
-            return train_svm_ova(data, self.c, self.tol, self.max_iter)
-        raise DataError(f"unknown trainer kind {self.kind!r}")
+from .mlp import MlpModel, predict_mlp
+from .svm import OvaSvmModel, predict_svm
+from .tree import DecisionTreeModel, predict_tree
 
 
 def predict(model, features: np.ndarray) -> np.ndarray:
@@ -65,12 +38,14 @@ def _grouped_folds(groups, k: int, seed: int):
     return [np.array(sorted(f), dtype=np.int64) for f in folds]
 
 
-def run_kfold(data: Dataset, k: int, trainer: TrainerConfig,
-              seed: int, groups=None) -> ConfusionMatrix:
+def run_kfold(data: Dataset, k: int, fit, seed: int,
+              groups=None) -> ConfusionMatrix:
     """Test each fold once against a model trained on the remainder.
 
-    Folds are stratified by class label, or hold out whole groups when a
-    per-sample ``groups`` sequence (e.g. rat ids) is supplied.
+    ``fit(train_subset, seed)`` returns a model that ``predict`` accepts;
+    fold ``i`` trains with seed ``seed + i``. Folds are stratified by
+    class label, or hold out whole groups when a per-sample ``groups``
+    sequence (e.g. rat ids) is supplied.
     """
     counts = np.bincount(data.labels, minlength=data.n_classes)
     empty = np.nonzero(counts == 0)[0]
@@ -85,7 +60,7 @@ def run_kfold(data: Dataset, k: int, trainer: TrainerConfig,
     all_idx = np.arange(data.n_samples)
     for fold_id, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
-        model = trainer.train(data.subset(train_idx), seed + fold_id)
+        model = fit(data.subset(train_idx), seed + fold_id)
         predicted = predict(model, data.features[test_idx])
         for truth, guess in zip(data.labels[test_idx], predicted):
             matrix[truth, guess] += 1

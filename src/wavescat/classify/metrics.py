@@ -74,21 +74,29 @@ def confusion_from_counts_csv(path) -> ConfusionMatrix:
     class (extra columns beyond the counts are ignored)."""
     rows = []
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh
+        lines = [(number, ln.rstrip("\n"))
+                 for number, ln in enumerate(fh, start=1)
                  if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise DataError("empty counts CSV")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if header and header[0].lower() in ("class", "true_class", ""):
         names = [h for h in header[1:] if h and not h.endswith("_pct")]
     else:
         names = [h for h in header if h]
     k = len(names)
-    for ln in lines[1:1 + k]:
+    for number, ln in lines[1:1 + k]:
         cells = ln.split(",")
         if cells[0] in names:
             cells = cells[1:]
-        rows.append([int(float(c)) for c in cells[:k]])
+        try:
+            counts = [int(float(c)) for c in cells[:k]]
+        except (ValueError, OverflowError):
+            counts = []
+        if len(counts) != k:
+            raise DataError(f"{path} line {number}: expected {k} numeric "
+                            f"counts, got {ln!r}")
+        rows.append(counts)
     if len(rows) != k:
         raise DataError(f"expected {k} count rows, found {len(rows)}")
     return ConfusionMatrix(np.array(rows, dtype=np.int64), names)

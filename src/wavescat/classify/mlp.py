@@ -66,6 +66,8 @@ def loss_and_grad(weights, biases, x, y, n_classes):
 def train_mlp(data: Dataset, hidden=(64,), epochs: int = 300,
               learning_rate: float = 0.1, seed: int = 0) -> MlpModel:
     """Deterministic full-batch training from a seeded uniform init."""
+    if any(size < 1 for size in hidden):
+        raise DataError("hidden sizes must be at least 1")
     if epochs < 1:
         raise DataError("epochs must be at least 1")
     if learning_rate <= 0:

@@ -55,17 +55,15 @@ def _grow(x, y, n_classes, depth, max_depth, min_leaf):
     )
 
 
-def train_tree(data: Dataset, max_depth: int = 12, min_leaf: int = 1,
-               seed: int = 0) -> DecisionTreeModel:
+def train_tree(data: Dataset, max_depth: int = 12,
+               min_leaf: int = 1) -> DecisionTreeModel:
     """Grow a CART classifier.
 
     Each node takes one split scan over all its features at once: every
     midpoint between consecutive distinct sorted values of every feature
     is scored, and ties resolve to the lowest feature index, then the
-    lowest threshold. The seed argument is accepted for interface
-    symmetry - the scan is fully deterministic.
+    lowest threshold, so the tree is fully deterministic.
     """
-    del seed
     if max_depth < 1:
         raise DataError("max_depth must be at least 1")
     if min_leaf < 1:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import (Dataset, TrainerConfig, confusion_from_counts_csv,
-                       confusion_stats, confusion_to_csv, run_kfold,
+from .classify import (Dataset, confusion_from_counts_csv, confusion_stats,
+                       confusion_to_csv, run_kfold, train_mlp, train_svm_ova,
                        train_tree, tree_complexity)
 from .coherence import SmoothingSpec, coherence, phase_overlay, overlay_to_csv
 from .csvfile import write_csv
@@ -297,13 +297,16 @@ def cmd_features(cfg: Config):
     return 0
 
 
-def _chambers_trainer(cfg: Config) -> TrainerConfig:
+def _chambers_fit(cfg: Config):
+    """``fit(data, seed)`` for the ``--model`` classifier. Like joint's,
+    it looks ``train_*`` up when called, so a wrapper later bound over
+    the name (``perfbench/traced.py``) still sees every fit."""
     if cfg.get("model") == "dt":
-        return TrainerConfig(kind="dt", max_depth=cfg.get("max_depth"),
-                             min_leaf=cfg.get("min_leaf"))
+        max_depth, min_leaf = cfg.get("max_depth"), cfg.get("min_leaf")
+        return lambda data, seed: train_tree(data, max_depth, min_leaf)
     hidden = tuple(int(h) for h in cfg.get("hidden").split(",") if h)
-    return TrainerConfig(kind="mlp", hidden=hidden, epochs=cfg.get("epochs"),
-                         learning_rate=cfg.get("learning_rate"))
+    epochs, rate = cfg.get("epochs"), cfg.get("learning_rate")
+    return lambda data, seed: train_mlp(data, hidden, epochs, rate, seed)
 
 
 def cmd_chambers(cfg: Config):
@@ -311,7 +314,8 @@ def cmd_chambers(cfg: Config):
     window, hop = cfg.get("window"), cfg.get("hop")
     bank_cfg = _bank_config(cfg)
     seed, k = cfg.get("seed"), cfg.get("k")
-    trainer = _chambers_trainer(cfg)
+    fit = _chambers_fit(cfg)
+    is_tree = cfg.get("model") == "dt"
     phases = {"pre": (Phase.PRE,), "post": (Phase.POST,),
               "both": (Phase.PRE, Phase.POST)}[cfg.get("phase")]
     source_tok = cfg.get("source")
@@ -338,15 +342,14 @@ def cmd_chambers(cfg: Config):
             if per_rat:
                 rats = [s.rat_id for s in table.segments
                         if s.group is group and s.phase in phases]
-            matrix = run_kfold(data, k, trainer, seed, groups=rats)
+            matrix = run_kfold(data, k, fit, seed, groups=rats)
             stats = confusion_stats(matrix)
             accuracy[(source, group.value)] = stats["micro"]
             out = os.path.join(out_dir, f"confusion_{source}_{group.value}.csv")
             _atomic(out, lambda p, m=matrix: confusion_to_csv(m, p, cfg.line()))
-            if trainer.kind == "dt":
-                grade = tree_complexity(train_tree(data, trainer.max_depth,
-                                                   trainer.min_leaf, seed))
-                complexity[(source, group.value)] = grade
+            if is_tree:
+                complexity[(source, group.value)] = tree_complexity(
+                    fit(data, seed))
             print(f"chambers {source}/{group.value}: "
                   f"micro={stats['micro']:.2f}% macro={stats['macro']:.2f}%")
 
@@ -388,9 +391,9 @@ def cmd_joint(cfg: Config):
         rng = np.random.default_rng(seed)
         data = Dataset(data.features, rng.permutation(data.labels),
                        data.class_names)
-    trainer = TrainerConfig(kind="svm", c=cfg.get("c"), tol=cfg.get("tol"),
-                            max_iter=cfg.get("max_iter"))
-    matrix = run_kfold(data, k, trainer, seed)
+    c, tol, max_iter = cfg.get("c"), cfg.get("tol"), cfg.get("max_iter")
+    matrix = run_kfold(data, k,
+                       lambda d, _: train_svm_ova(d, c, tol, max_iter), seed)
     stats = confusion_stats(matrix)
     out = os.path.join(out_dir, "joint_confusion.csv")
     _atomic(out, lambda p: confusion_to_csv(matrix, p, cfg.line()))

@@ -69,18 +69,20 @@ class CoherenceMap:
         return self.scale_axis[:, None] >= self.coi[None, :]
 
 
-def _check_axes(cx: Scalogram, cy: Scalogram):
-    if cx.coefficients.shape != cy.coefficients.shape:
-        raise DataError("scalogram shapes differ")
-    if not np.array_equal(cx.scale_axis, cy.scale_axis) or cx.fs != cy.fs:
-        raise DataError("scalogram axes differ")
-
-
 def _voices_per_octave(scale_axis) -> int:
     if len(scale_axis) < 2:
         return 1
     step = np.log2(scale_axis[0] / scale_axis[1])
     return max(1, int(round(1.0 / step)))
+
+
+def _widths(cx: Scalogram, cy: Scalogram, spec: SmoothingSpec):
+    """Smoothing widths for two scalograms on the same axes."""
+    if cx.coefficients.shape != cy.coefficients.shape:
+        raise DataError("scalogram shapes differ")
+    if not np.array_equal(cx.scale_axis, cy.scale_axis) or cx.fs != cy.fs:
+        raise DataError("scalogram axes differ")
+    return spec.widths(cx.scale_axis, cx.fs, _voices_per_octave(cx.scale_axis))
 
 
 def smooth(mat: np.ndarray, time_widths, scale_width: int) -> np.ndarray:
@@ -100,18 +102,16 @@ def _conj_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def cross_spectrum(cx: Scalogram, cy: Scalogram,
                    spec: SmoothingSpec) -> np.ndarray:
     """Smoothed cross-spectrum S(conj(Cx) * Cy)."""
-    _check_axes(cx, cy)
-    tw, sw = spec.widths(cx.scale_axis, cx.fs, _voices_per_octave(cx.scale_axis))
+    tw, sw = _widths(cx, cy, spec)
     return smooth(_conj_product(cx.coefficients, cy.coefficients), tw, sw)
 
 
 def coherence(cx: Scalogram, cy: Scalogram, spec: SmoothingSpec) -> CoherenceMap:
-    _check_axes(cx, cy)
-    tw, sw = spec.widths(cx.scale_axis, cx.fs, _voices_per_octave(cx.scale_axis))
+    tw, sw = _widths(cx, cy, spec)
     if int(tw.max()) <= 1 and sw <= 1:
         raise DataError("identity smoothing makes coherence trivially 1; "
                         "widen the time or scale kernel")
-    sxy = smooth(_conj_product(cx.coefficients, cy.coefficients), tw, sw)
+    sxy = cross_spectrum(cx, cy, spec)
     sxx = smooth(np.abs(cx.coefficients) ** 2, tw, sw).real
     syy = smooth(np.abs(cy.coefficients) ** 2, tw, sw).real
     den = sxx * syy
@@ -134,23 +134,19 @@ def coherence(cx: Scalogram, cy: Scalogram, spec: SmoothingSpec) -> CoherenceMap
     )
 
 
-def phase_overlay(cmap: CoherenceMap, threshold: float,
-                  every_t: int | None = None,
-                  every_s: int | None = None) -> list[tuple]:
-    """Decimated (time, freq_hz, phase_rad) records where coherence > threshold."""
+def phase_overlay(cmap: CoherenceMap, threshold: float) -> list[tuple]:
+    """(time, freq_hz, phase_rad) records where coherence > threshold on
+    a grid of about 16 scales by 64 times, scale by scale."""
     if not (0.0 <= threshold <= 1.0):
         raise DataError("threshold must lie in [0, 1]")
     n_s, n_t = cmap.coherence.shape
-    ds = every_s if every_s else max(1, n_s // 16)
-    dt = every_t if every_t else max(1, n_t // 64)
-    records = []
-    for j in range(0, n_s, ds):
-        for t in range(0, n_t, dt):
-            if cmap.coherence[j, t] > threshold and np.isfinite(cmap.phase[j, t]):
-                records.append((float(cmap.time_axis[t]),
-                                float(cmap.scale_axis[j]),
-                                float(cmap.phase[j, t])))
-    return records
+    rows = slice(None, None, max(1, n_s // 16))
+    cols = slice(None, None, max(1, n_t // 64))
+    phase = cmap.phase[rows, cols]
+    j, t = np.nonzero((cmap.coherence[rows, cols] > threshold)
+                      & np.isfinite(phase))
+    return list(zip(cmap.time_axis[cols][t].tolist(),
+                    cmap.scale_axis[rows][j].tolist(), phase[j, t].tolist()))
 
 
 def overlay_to_csv(records, path, config_line: str = "") -> None:

@@ -136,10 +136,6 @@ class Segment:
     start_time: float
     rat_id: str = ""
 
-    @property
-    def label_tuple(self):
-        return (self.group, self.phase, self.channel, self.chamber)
-
 
 def chamber_codes(track, fs: float, n: int) -> np.ndarray:
     """Zero-order-hold chamber code per sample; -1 before the first fix."""
@@ -346,9 +342,3 @@ def stratified_folds(keys, k: int, seed: int) -> list[np.ndarray]:
             folds[(offset + j) % k].append(int(i))
         offset = (offset + idx.size) % k
     return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
-
-
-def split_folds(segments, k: int, seed: int) -> list[np.ndarray]:
-    """Stratify segments by their full (group, phase, channel, chamber)."""
-    keys = [tuple(x.name for x in s.label_tuple) for s in segments]
-    return stratified_folds(keys, k, seed)

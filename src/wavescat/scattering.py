@@ -37,7 +37,6 @@ class ScatteringParams:
     q1: int = 8
     q2: int = 1
     fs: float = 1000.0
-    fmin: float | None = None
     fmax: float = 100.0
     gamma: float = 3.0
 
@@ -49,7 +48,7 @@ class ScatteringParams:
 
     @property
     def band_min(self) -> float:
-        return self.fmin if self.fmin is not None else 1.0 / self.t
+        return 1.0 / self.t
 
 
 @dataclass

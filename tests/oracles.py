@@ -3,10 +3,11 @@
 Nothing here reuses the library's transform paths: peaks come from a
 bracketing search plus parabolic refinement, the reference CWT is a
 direct O(N^2) DFT evaluation, smoothing is a literal double loop and
-the CART split scan sorts and scores one feature column at a time. The
-window reductions are the exception: they run the library's CWT and
-coherence, then test each hop-grid start and reduce each window on its
-own, one Python iteration per window.
+the CART split scan sorts and scores one feature column at a time and
+the phase overlay tests one grid cell at a time. The window reductions
+are the exception: they run the library's CWT and coherence, then test
+each hop-grid start and reduce each window on its own, one Python
+iteration per window.
 """
 
 import numpy as np
@@ -103,6 +104,20 @@ def brute_force_smooth(mat, time_widths, scale_width):
                 acc += stage1[kk, t]
             out[j, t] = acc / (b - a)
     return out
+
+
+def phase_overlay_by_cell(cmap, threshold):
+    """Overlay records from a loop over every 16th-of-the-scales row and
+    every 64th-of-the-times column."""
+    n_s, n_t = cmap.coherence.shape
+    records = []
+    for j in range(0, n_s, max(1, n_s // 16)):
+        for t in range(0, n_t, max(1, n_t // 64)):
+            if cmap.coherence[j, t] > threshold and np.isfinite(cmap.phase[j, t]):
+                records.append((float(cmap.time_axis[t]),
+                                float(cmap.scale_axis[j]),
+                                float(cmap.phase[j, t])))
+    return records
 
 
 def _split_sorted_column(values_sorted, classes_sorted, n_classes, min_leaf):

@@ -1,14 +1,16 @@
 import argparse
 import hashlib
+import inspect
 import os
 import re
 
 import numpy as np
 import pytest
 
-from wavescat.classify import ConfusionMatrix, confusion_to_csv
+from wavescat.classify import (ConfusionMatrix, confusion_to_csv, train_mlp,
+                               train_svm_ova, train_tree)
 from wavescat import cli
-from wavescat.cli import build_parser, main
+from wavescat.cli import OPTIONS, Config, build_parser, main
 from wavescat.coherence import SmoothingSpec
 from wavescat.model import (Chamber, Channel, PositionSample, load_session,
                             save_session)
@@ -286,6 +288,54 @@ def test_mlp_divergence_exits_4(tmp_path, small_cohort, capsys):
                  "--phase", "both"])
     assert code == 4
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chambers", "--model", "mlp", "--hidden", "0", "--source", "hip",
+      "--group", "food", "--phase", "both"], "hidden sizes"),
+    (["chambers", "--model", "mlp", "--hidden", "-5", "--source", "hip",
+      "--group", "food", "--phase", "both"], "hidden sizes"),
+    (["joint", "--max-iter", "0"], "max_iter"),
+])
+def test_invalid_classifier_settings_exit_3(tmp_path, small_cohort, capsys,
+                                            argv, message):
+    out = tmp_path / "bad"
+    code = main(argv + ["--data", str(small_cohort), "--out", str(out),
+                        "--seed", "3", "--k", "3", "--hop", "1.0"])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
+
+
+@pytest.mark.parametrize("row", ["a,3,x", "a,3"])
+def test_bad_counts_row_exits_3_naming_the_line(tmp_path, capsys, row):
+    counts = tmp_path / "counts.csv"
+    counts.write_text(f"# hand-made\nclass,a,b\n{row}\nb,1,4\n")
+    assert main(["joint", "--stats-from", str(counts),
+                 "--out", str(tmp_path / "out"), "--seed", "0"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "line 3" in err[0] and repr(row) in err[0]
+
+
+def test_library_defaults_match_the_cli():
+    """A default both OPTIONS and the library write down is one value."""
+    args = build_parser().parse_args(["features", "scatter", "--data", "d",
+                                      "--out", "o"])
+    cfg = Config(args, {})
+    assert cli._bank_config(cfg) == BankConfig()
+    assert cli._smoothing(cfg) == SmoothingSpec()
+    assert cli._scatter_params(cfg, ScatteringParams.fs) == ScatteringParams()
+    checked = 0
+    for train in (train_tree, train_mlp, train_svm_ova):
+        for name, param in inspect.signature(train).parameters.items():
+            if name in OPTIONS and name not in ("data", "seed"):
+                default = OPTIONS[name].default
+                if name == "hidden":
+                    default = tuple(int(h) for h in default.split(","))
+                assert param.default == default, (train.__name__, name)
+                checked += 1
+    assert checked == 8
 
 
 def test_per_rat_needs_enough_rats(tmp_path, small_cohort, capsys):

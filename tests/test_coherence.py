@@ -7,7 +7,7 @@ from wavescat.cwt import Scalogram, cwt
 from wavescat.errors import DataError
 from wavescat.morse import MorseParams, build_filterbank
 
-from oracles import brute_force_smooth
+from oracles import brute_force_smooth, phase_overlay_by_cell
 
 FS = 1000.0
 
@@ -145,15 +145,16 @@ def test_independent_noise_low_coherence():
 
 
 def test_phase_overlay_thresholds():
-    cx, _ = random_pair(20)
-    cmap = coherence(cx, cx, SmoothingSpec.fixed(5, 3))
+    cx, noise = random_pair(20, shape=(40, 300))
+    cy = make_scalogram(cx.coefficients + noise.coefficients)
+    cmap = coherence(cx, cy, SmoothingSpec.fixed(5, 3))
+    cmap.phase[::7, ::5] = np.nan   # hits kept cells: rows 0, 14, 28
     assert phase_overlay(cmap, 1.0) == []  # nothing exceeds 1.0
-    records = phase_overlay(cmap, 0.5, every_t=8, every_s=2)
-    n_s, n_t = cmap.coherence.shape
-    expected = sum(1 for j in range(0, n_s, 2) for t in range(0, n_t, 8)
-                   if cmap.coherence[j, t] > 0.5
-                   and np.isfinite(cmap.phase[j, t]))
-    assert len(records) == expected > 0
+    records = phase_overlay(cmap, 0.5)
+    assert records == phase_overlay_by_cell(cmap, 0.5)
+    # every 2nd scale and 4th time; some cells below the threshold
+    assert 0 < len(records) < 20 * 75
+    assert {t for t, _, _ in records} <= set(cmap.time_axis[::4].tolist())
     with pytest.raises(DataError):
         phase_overlay(cmap, 1.5)
 

@@ -91,6 +91,9 @@ def test_validation_errors():
         train_mlp(data, epochs=0)
     with pytest.raises(DataError):
         train_mlp(data, learning_rate=0.0)
+    for hidden in ((0,), (-5,), (4, 0)):
+        with pytest.raises(DataError, match="hidden sizes"):
+            train_mlp(data, hidden=hidden)
     model = train_mlp(data, hidden=(2,), epochs=2, learning_rate=0.1, seed=0)
     with pytest.raises(DataError, match="expected 1 features"):
         predict_mlp(model, [[0.0, 1.0]])

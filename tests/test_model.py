@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from wavescat.errors import BundleFormatError, DataError
 from wavescat.model import (Chamber, Channel, Group, Phase, PositionSample,
                             chamber_codes, load_session, save_session,
-                            segment_by_chamber, split_folds,
-                            stratified_folds)
+                            segment_by_chamber, stratified_folds)
 from wavescat.synth import SynthSpec, generate_session
 
 from conftest import make_session
@@ -208,14 +207,6 @@ def test_folds_partition_property(k, seed, n):
     for key in set(keys):
         sizes = [sum(1 for i in f if keys[i] == key) for f in folds]
         assert max(sizes) - min(sizes) <= 1
-
-
-def test_split_folds_uses_full_label_tuple(single_chamber_session):
-    segments = segment_by_chamber(single_chamber_session, 1.0, 0.5)
-    folds = split_folds(segments, 2, seed=0)
-    hip = sum(1 for i in folds[0]
-              if segments[i].channel is Channel.HIP)
-    assert hip in (9, 10)  # 19 HIP segments split 9/10
 
 
 def test_fold_errors():

@@ -129,6 +129,9 @@ def test_validation():
     data = Dataset(np.zeros((4, 2)), np.array([0, 0, 1, 1]), ["a", "b"])
     with pytest.raises(DataError):
         train_svm_ova(data, c=-1.0)
+    for max_iter in (0, -1):
+        with pytest.raises(DataError, match="max_iter"):
+            train_svm_ova(data, max_iter=max_iter)
     model = train_svm_ova(Dataset(np.array([[-1.0], [1.0]]),
                                   np.array([0, 1]), ["a", "b"]))
     with pytest.raises(DataError, match="expected 1 features"):

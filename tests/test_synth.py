@@ -119,7 +119,7 @@ def test_segments_from_synth_sessions_carry_labels():
 
 @pytest.mark.slow
 def test_accuracy_monotone_in_delta():
-    from wavescat.classify import TrainerConfig, confusion_stats, run_kfold
+    from wavescat.classify import confusion_stats, run_kfold, train_tree
     from wavescat.model import Channel
     from wavescat.pipeline import BankConfig, cwt_table, joint_dataset
 
@@ -140,7 +140,7 @@ def test_accuracy_monotone_in_delta():
         from wavescat.pipeline import FeatureTable
         table = FeatureTable(matrix, tables[0].columns, segments)
         data = joint_dataset(table)
-        result = run_kfold(data, 5, TrainerConfig(kind="dt"), seed=17)
+        result = run_kfold(data, 5, lambda d, _: train_tree(d), seed=17)
         accuracies.append(confusion_stats(result)["micro"])
     assert accuracies[0] < accuracies[1] + 3.0
     assert accuracies[1] < accuracies[2] + 3.0
