@@ -24,20 +24,6 @@ def predict(model, features: np.ndarray) -> np.ndarray:
     raise DataError(f"unknown model type {type(model).__name__}")
 
 
-def _grouped_folds(groups, k: int, seed: int):
-    """Deal whole groups (e.g. rats) into k folds after a seeded shuffle."""
-    names = sorted(set(groups))
-    if k > len(names):
-        raise DataError(f"k={k} exceeds the number of groups ({len(names)})")
-    order = np.array(names, dtype=object)
-    np.random.default_rng(seed).shuffle(order)
-    assignment = {g: i % k for i, g in enumerate(order)}
-    folds = [[] for _ in range(k)]
-    for i, g in enumerate(groups):
-        folds[assignment[g]].append(i)
-    return [np.array(sorted(f), dtype=np.int64) for f in folds]
-
-
 def run_kfold(data: Dataset, k: int, fit, seed: int,
               groups=None) -> ConfusionMatrix:
     """Test each fold once against a model trained on the remainder.
@@ -52,10 +38,16 @@ def run_kfold(data: Dataset, k: int, fit, seed: int,
     if empty.size:
         names = [data.class_names[i] for i in empty]
         raise DataError(f"classes without samples: {names}")
-    if groups is not None:
-        folds = _grouped_folds(list(groups), k, seed)
-    else:
+    if groups is None:
         folds = stratified_folds(data.labels.tolist(), k, seed)
+    else:
+        # deal the sorted distinct groups as one stratum; rows follow
+        names, group_of = np.unique(np.asarray(groups), return_inverse=True)
+        if k > names.size:
+            raise DataError(f"k={k} exceeds the number of groups "
+                            f"({names.size})")
+        folds = [np.flatnonzero(np.isin(group_of, members))
+                 for members in stratified_folds([0] * names.size, k, seed)]
     matrix = np.zeros((data.n_classes, data.n_classes), dtype=np.int64)
     all_idx = np.arange(data.n_samples)
     for fold_id, test_idx in enumerate(folds):

@@ -73,10 +73,13 @@ def confusion_from_counts_csv(path) -> ConfusionMatrix:
     """Read a counts CSV: class-name header row, one named count row per
     class (extra columns beyond the counts are ignored)."""
     rows = []
-    with open(path) as fh:
-        lines = [(number, ln.rstrip("\n"))
-                 for number, ln in enumerate(fh, start=1)
-                 if ln.strip() and not ln.startswith("#")]
+    try:
+        with open(path) as fh:
+            lines = [(number, ln.rstrip("\n"))
+                     for number, ln in enumerate(fh, start=1)
+                     if ln.strip() and not ln.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read counts CSV {path}: {exc}") from None
     if not lines:
         raise DataError("empty counts CSV")
     header = lines[0][1].split(",")

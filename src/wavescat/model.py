@@ -27,6 +27,9 @@ MAGIC = b"WSCAT1"
 
 _HEADER_KEYS = ("fs", "rat", "group", "phase", "nsamples", "ntrack")
 
+# One chamber-track record, in a bundle and in memory alike.
+TRACK = np.dtype([("t", "<f8"), ("c", "u1")])
+
 
 class Channel(enum.Enum):
     HIP = "hip"
@@ -80,17 +83,11 @@ class TimeSeries:
         return self.samples.size / self.fs
 
 
-@dataclass(frozen=True)
-class PositionSample:
-    t: float
-    chamber: Chamber
-
-
 @dataclass
 class RecordingSession:
     hip: TimeSeries
     nac: TimeSeries
-    track: list[PositionSample]
+    track: np.ndarray            # TRACK records: fix time (s), chamber code
     rat_id: str
     group: Group
     phase: Phase
@@ -100,10 +97,18 @@ class RecordingSession:
             raise DataError("hip/nac sampling rates differ")
         if self.hip.samples.size != self.nac.samples.size:
             raise DataError("channel length mismatch")
-        if not self.track:
+        try:
+            self.track = np.asarray(self.track, dtype=TRACK)
+        except (TypeError, ValueError, OverflowError):
+            self.track = None
+        if self.track is None or self.track.ndim != 1:
+            raise DataError("track must be a sequence of (t, code) pairs")
+        if self.track.size == 0:
             raise DataError("track is empty")
-        times = [p.t for p in self.track]
-        if times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
+        times, codes = self.track["t"], self.track["c"]
+        if codes.max() > 2:
+            raise DataError(f"unknown chamber code {codes[codes > 2][0]}")
+        if not (times[0] >= 0 and np.all(times[1:] > times[:-1])):
             raise DataError("track times must be nonnegative and strictly increasing")
         if times[-1] > self.hip.duration:
             raise DataError("track extends past the end of the recording")
@@ -137,15 +142,12 @@ class Segment:
     rat_id: str = ""
 
 
-def chamber_codes(track, fs: float, n: int) -> np.ndarray:
-    """Zero-order-hold chamber code per sample; -1 before the first fix."""
-    codes = np.full(n, -1, dtype=np.int8)
-    times = np.array([p.t for p in track])
-    starts = np.minimum(np.ceil(times * fs).astype(np.int64), n)
-    for i, p in enumerate(track):
-        end = starts[i + 1] if i + 1 < len(track) else n
-        codes[starts[i]:end] = p.chamber.value
-    return codes
+def chamber_codes(track: np.ndarray, fs: float, n: int) -> np.ndarray:
+    """Zero-order-hold chamber code per sample of a validated TRACK
+    array; -1 before the first fix."""
+    starts = np.minimum(np.ceil(track["t"] * fs).astype(np.int64), n)
+    held = np.repeat(track["c"].astype(np.int8), np.diff(starts, append=n))
+    return np.concatenate([np.full(starts[0], -1, dtype=np.int8), held])
 
 
 def _format_fs(fs: float) -> str:
@@ -164,15 +166,11 @@ def save_session(session: RecordingSession, path) -> None:
         "",
         "",
     ])
-    track = np.zeros(len(session.track),
-                     dtype=np.dtype([("t", "<f8"), ("c", "u1")]))
-    track["t"] = [p.t for p in session.track]
-    track["c"] = [p.chamber.value for p in session.track]
     with open(path, "wb") as fh:
         fh.write(header.encode())
         fh.write(session.hip.samples.astype("<f8").tobytes())
         fh.write(session.nac.samples.astype("<f8").tobytes())
-        fh.write(track.tobytes())
+        fh.write(session.track.tobytes())
 
 
 def load_session(path) -> RecordingSession:
@@ -241,21 +239,21 @@ def load_session(path) -> RecordingSession:
             offset=head_end + 2 + min(len(body), expected))
     hip = np.frombuffer(body, dtype="<f8", count=nsamples, offset=0)
     nac = np.frombuffer(body, dtype="<f8", count=nsamples, offset=chan_bytes)
-    rec = np.frombuffer(body, dtype=np.dtype([("t", "<f8"), ("c", "u1")]),
-                        count=ntrack, offset=2 * chan_bytes)
-    track = []
-    for i in range(ntrack):
-        code = int(rec["c"][i])
-        if code not in (0, 1, 2):
-            raise BundleFormatError(
-                f"unknown chamber code {code}",
-                offset=head_end + 2 + 2 * chan_bytes + 9 * i + 8)
-        t = float(rec["t"][i])
-        if track and t <= track[-1].t:
-            raise BundleFormatError(
-                f"non-monotone track time {t}",
-                offset=head_end + 2 + 2 * chan_bytes + 9 * i)
-        track.append(PositionSample(t, Chamber(code)))
+    track = np.frombuffer(body, dtype=TRACK, count=ntrack,
+                          offset=2 * chan_bytes).copy()
+    # the first bad record is reported, its code before its time
+    times = track["t"]
+    bad_code = np.append(np.flatnonzero(track["c"] > 2), ntrack)[0]
+    bad_time = np.append(np.flatnonzero(times[1:] <= times[:-1]) + 1,
+                         ntrack)[0]
+    record = head_end + 2 + 2 * chan_bytes + 9 * int(min(bad_code, bad_time))
+    if bad_code < ntrack and bad_code <= bad_time:
+        raise BundleFormatError(
+            f"unknown chamber code {track['c'][bad_code]}", offset=record + 8)
+    if bad_time < ntrack:
+        raise BundleFormatError(
+            f"non-monotone track time {float(times[bad_time])}",
+            offset=record)
     try:
         return RecordingSession(
             hip=TimeSeries(hip.copy(), fs, Channel.HIP),
@@ -280,8 +278,6 @@ def chamber_windows(session: RecordingSession, window_len: float,
     """
     if window_len <= 0 or hop <= 0:
         raise DataError("window_len and hop must be positive")
-    if not session.track:
-        raise DataError("track is empty")
     fs = session.fs
     win = int(round(window_len * fs))
     step = int(round(hop * fs))

@@ -46,9 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .model import (Chamber, Channel, Group, Phase, PositionSample,
-                    RecordingSession, TimeSeries, chamber_codes,
-                    save_session)
+from .model import (TRACK, Chamber, Channel, Group, Phase, RecordingSession,
+                    TimeSeries, chamber_codes, save_session)
 
 CHAMBER_GAIN = {Chamber.REWARDED: 1.0, Chamber.NULL: 0.55,
                 Chamber.UNREWARDED: 0.3}
@@ -126,17 +125,17 @@ def _shaped_noise(rng: np.random.Generator, n: int, fs: float) -> np.ndarray:
     return x / x.std()
 
 
-def _make_track(rng: np.random.Generator, session_len: float):
+def _make_track(rng: np.random.Generator, session_len: float) -> np.ndarray:
     track = []
     t = 0.0
-    chamber = Chamber(int(rng.integers(0, 3)))
+    chamber = int(rng.integers(0, 3))
     while t < session_len:
-        track.append(PositionSample(round(t * TRACK_FPS) / TRACK_FPS, chamber))
+        track.append((round(t * TRACK_FPS) / TRACK_FPS, chamber))
         dwell = max(1.0 / TRACK_FPS, rng.exponential(MEAN_DWELL))
         t += round(dwell * TRACK_FPS) / TRACK_FPS
-        others = [c for c in Chamber if c is not chamber]
+        others = [c for c in (0, 1, 2) if c != chamber]
         chamber = others[int(rng.integers(0, 2))]
-    return track
+    return np.array(track, dtype=TRACK)
 
 
 def generate_session(spec: SynthSpec, rat_id: str, group: Group,

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from wavescat.model import (Chamber, Channel, Group, Phase, PositionSample,
-                            RecordingSession, TimeSeries)
+from wavescat.model import (Chamber, Channel, Group, Phase, RecordingSession,
+                            TimeSeries)
 
 
 def make_session(hip, nac, fs=1000.0, track=None, rat="rat1",
                  group=Group.FOOD, phase=Phase.POST):
-    track = track or [PositionSample(0.0, Chamber.REWARDED)]
+    if track is None:
+        track = [(0.0, Chamber.REWARDED.value)]
     return RecordingSession(
         hip=TimeSeries(np.asarray(hip, dtype=float), fs, Channel.HIP),
         nac=TimeSeries(np.asarray(nac, dtype=float), fs, Channel.NAC),

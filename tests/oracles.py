@@ -3,8 +3,10 @@
 Nothing here reuses the library's transform paths: peaks come from a
 bracketing search plus parabolic refinement, the reference CWT is a
 direct O(N^2) DFT evaluation, smoothing is a literal double loop and
-the CART split scan sorts and scores one feature column at a time and
-the phase overlay tests one grid cell at a time. The window reductions
+the CART split scan sorts and scores one feature column at a time, the
+phase overlay tests one grid cell at a time, a bundle's track records
+are checked and a track held one record at a time, and whole groups
+are dealt into folds by a name-to-fold map. The window reductions
 are the exception: they run the library's CWT and coherence, then test
 each hop-grid start and reduce each window on its own, one Python
 iteration per window.
@@ -14,7 +16,7 @@ import numpy as np
 
 from wavescat.coherence import coherence
 from wavescat.cwt import cwt, scalogram_magnitude
-from wavescat.errors import DataError
+from wavescat.errors import BundleFormatError, DataError
 from wavescat.model import Chamber
 
 
@@ -165,7 +167,7 @@ def chamber_windows_by_start(session, window_len, hop):
     chamber-constant window, testing one hop-grid start at a time."""
     if window_len <= 0 or hop <= 0:
         raise DataError("window_len and hop must be positive")
-    if not session.track:
+    if len(session.track) == 0:
         raise DataError("track is empty")
     fs = session.fs
     win = int(round(window_len * fs))
@@ -243,3 +245,49 @@ def wcoh_rows_by_window(session, window_len, hop, bank, smoothing):
         rows.append(np.concatenate([coh_mean, phase_mean]))
         fallback += int((~ok).sum())
     return rows, fallback
+
+
+def track_by_record(rec, offset):
+    """A bundle's track records checked one at a time: the (t, code)
+    pairs, or the error of the first bad record. ``offset`` is the byte
+    offset of record 0 in the file."""
+    track = []
+    for i in range(len(rec)):
+        code = int(rec["c"][i])
+        if code not in (0, 1, 2):
+            raise BundleFormatError(
+                f"unknown chamber code {code}",
+                offset=offset + 9 * i + 8)
+        t = float(rec["t"][i])
+        if track and t <= track[-1][0]:
+            raise BundleFormatError(
+                f"non-monotone track time {t}",
+                offset=offset + 9 * i)
+        track.append((t, code))
+    return track
+
+
+def chamber_codes_by_fix(track, fs, n):
+    """Zero-order-hold chamber code per sample, one fix at a time; -1
+    before the first fix."""
+    codes = np.full(n, -1, dtype=np.int8)
+    times = np.array([t for t, _ in track])
+    starts = np.minimum(np.ceil(times * fs).astype(np.int64), n)
+    for i, (_, code) in enumerate(track):
+        end = starts[i + 1] if i + 1 < len(track) else n
+        codes[starts[i]:end] = code
+    return codes
+
+
+def deal_groups_by_name(groups, k, seed):
+    """Deal whole groups (e.g. rats) into k folds after a seeded shuffle."""
+    names = sorted(set(groups))
+    if k > len(names):
+        raise DataError(f"k={k} exceeds the number of groups ({len(names)})")
+    order = np.array(names, dtype=object)
+    np.random.default_rng(seed).shuffle(order)
+    assignment = {g: i % k for i, g in enumerate(order)}
+    folds = [[] for _ in range(k)]
+    for i, g in enumerate(groups):
+        folds[assignment[g]].append(i)
+    return [np.array(sorted(f), dtype=np.int64) for f in folds]

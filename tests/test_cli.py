@@ -12,8 +12,7 @@ from wavescat.classify import (ConfusionMatrix, confusion_to_csv, train_mlp,
 from wavescat import cli
 from wavescat.cli import OPTIONS, Config, build_parser, main
 from wavescat.coherence import SmoothingSpec
-from wavescat.model import (Chamber, Channel, PositionSample, load_session,
-                            save_session)
+from wavescat.model import Chamber, Channel, load_session, save_session
 from wavescat.pipeline import BankConfig, load_sessions
 from wavescat.scattering import ScatteringParams, scatter
 from wavescat.synth import SynthSpec
@@ -134,9 +133,8 @@ def test_features_scatter_matches_library_bitwise(tmp_path,
 
 def test_features_cwt_and_wcoh_match_per_window_oracle(tmp_path):
     rng = np.random.default_rng(21)
-    track = [PositionSample(0.3, Chamber.NULL),
-             PositionSample(4.1, Chamber.REWARDED),
-             PositionSample(8.0, Chamber.UNREWARDED)]
+    track = [(0.3, Chamber.NULL.value), (4.1, Chamber.REWARDED.value),
+             (8.0, Chamber.UNREWARDED.value)]
     data = tmp_path / "data"
     data.mkdir()
     for rat in ("rat1", "rat2"):
@@ -243,8 +241,8 @@ def test_report_outputs(tmp_path):
     data.mkdir()
     rng = np.random.default_rng(0)
     x = rng.standard_normal(4000)
-    session = make_session(x, x.copy(), track=[
-        PositionSample(0.0, Chamber.REWARDED)])
+    session = make_session(x, x.copy(),
+                           track=[(0.0, Chamber.REWARDED.value)])
     save_session(session, data / "rat1_food_post.wscat")
     out = tmp_path / "report"
     assert main(["report", "--data", str(data), "--out", str(out)]) == 0
@@ -318,6 +316,17 @@ def test_bad_counts_row_exits_3_naming_the_line(tmp_path, capsys, row):
     assert "line 3" in err[0] and repr(row) in err[0]
 
 
+@pytest.mark.parametrize("content", [None, b"class,a\n\xff\xfe,1\n"])
+def test_unreadable_stats_file_exits_3_naming_it(tmp_path, capsys, content):
+    counts = tmp_path / "counts.csv"
+    if content is not None:
+        counts.write_bytes(content)
+    assert main(["joint", "--stats-from", str(counts),
+                 "--out", str(tmp_path / "out"), "--seed", "0"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(counts) in err[0]
+
+
 def test_library_defaults_match_the_cli():
     """A default both OPTIONS and the library write down is one value."""
     args = build_parser().parse_args(["features", "scatter", "--data", "d",
@@ -336,6 +345,17 @@ def test_library_defaults_match_the_cli():
                 assert param.default == default, (train.__name__, name)
                 checked += 1
     assert checked == 8
+
+
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_per_rat_k_below_two_exits_3(tmp_path, small_cohort, capsys, k):
+    code = main(["chambers", "--data", str(small_cohort),
+                 "--out", str(tmp_path / "perrat"), "--seed", "3", "--k", k,
+                 "--model", "dt", "--per-rat", "--source", "hip",
+                 "--group", "food", "--hop", "1.0", "--phase", "both"])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "k must be at least 2" in err[0]
 
 
 def test_per_rat_needs_enough_rats(tmp_path, small_cohort, capsys):

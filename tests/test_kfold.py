@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavescat.classify import (Dataset, confusion_stats, predict, run_kfold,
                                train_mlp, train_svm_ova, train_tree)
 from wavescat.errors import DataError
+
+from oracles import deal_groups_by_name
 
 
 def fit_tree(data, seed):
@@ -90,10 +94,37 @@ def test_fold_i_fits_with_seed_plus_i():
     assert sizes == [72] * 5
 
 
-def test_grouped_folds_hold_out_whole_groups():
+def test_group_folds_hold_out_whole_groups():
     data = blob_dataset(n_per=30)
     rats = [f"rat{i % 6}" for i in range(90)]
     matrix = run_kfold(data, 3, fit_tree, seed=5, groups=rats)
     assert matrix.total == 90
     with pytest.raises(DataError, match="exceeds the number of groups"):
         run_kfold(data, 10, fit_tree, seed=5, groups=rats)
+    for k in (0, 1):
+        with pytest.raises(DataError, match="k must be at least 2"):
+            run_kfold(data, k, fit_tree, seed=5, groups=rats)
+
+
+@given(st.lists(st.sampled_from([f"rat{i}" for i in range(1, 13)]),
+                min_size=2, max_size=40),
+       st.integers(2, 12), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_group_folds_hold_out_the_oracle_rows(rats, k, seed):
+    n = len(rats)
+    data = Dataset(np.arange(n, dtype=float)[:, None], np.arange(n) % 2,
+                   ["a", "b"])
+    trained = []
+
+    def fit(d, _):
+        trained.append(d.features[:, 0].astype(int).tolist())
+        return train_tree(d)
+
+    if k > len(set(rats)):
+        with pytest.raises(DataError, match="exceeds the number of groups"):
+            run_kfold(data, k, fit, seed, groups=rats)
+        return
+    run_kfold(data, k, fit, seed, groups=rats)
+    held_out = deal_groups_by_name(rats, k, seed)
+    assert trained == [sorted(set(range(n)) - set(f.tolist()))
+                       for f in held_out]

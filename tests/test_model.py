@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavescat.errors import BundleFormatError, DataError
-from wavescat.model import (Chamber, Channel, Group, Phase, PositionSample,
+from wavescat.model import (TRACK, Chamber, Channel, Group, Phase,
                             chamber_codes, load_session, save_session,
                             segment_by_chamber, stratified_folds)
 from wavescat.synth import SynthSpec, generate_session
 
 from conftest import make_session
+from oracles import chamber_codes_by_fix, track_by_record
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +26,8 @@ def test_minimal_bundle_roundtrip(tmp_path):
     assert np.array_equal(loaded.hip.samples, session.hip.samples)
     assert np.array_equal(loaded.nac.samples, session.nac.samples)
     assert loaded.group is Group.FOOD and loaded.phase is Phase.POST
-    assert loaded.track == session.track
+    assert loaded.track.dtype == TRACK
+    assert np.array_equal(loaded.track, session.track)
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
@@ -62,8 +64,8 @@ def test_header_errors_carry_line_numbers(tmp_path):
 
 def test_non_monotone_track_rejected(tmp_path):
     session = make_session(np.ones(100), np.ones(100), fs=100.0,
-                           track=[PositionSample(0.0, Chamber.NULL),
-                                  PositionSample(0.5, Chamber.REWARDED)])
+                           track=[(0.0, Chamber.NULL.value),
+                                  (0.5, Chamber.REWARDED.value)])
     path = tmp_path / "s.wscat"
     save_session(session, path)
     blob = bytearray(path.read_bytes())
@@ -72,6 +74,14 @@ def test_non_monotone_track_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(BundleFormatError, match="non-monotone"):
         load_session(path)
+    # a NaN time is neither nonnegative nor increasing
+    blob[-9:-1] = np.float64(np.nan).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(BundleFormatError, match="strictly increasing"):
+        load_session(path)
+    with pytest.raises(DataError, match="strictly increasing"):
+        make_session(np.ones(100), np.ones(100), fs=100.0,
+                     track=[(0.0, 1), (np.nan, 2)])
 
 
 def test_unknown_chamber_code_offset(tmp_path):
@@ -83,6 +93,57 @@ def test_unknown_chamber_code_offset(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(BundleFormatError, match="unknown chamber code 9"):
         load_session(path)
+    for track, message in (([(0.0, 1), (0.5, 3)], "unknown chamber code 3"),
+                           ([], "track is empty"),
+                           ([(0.0,)], r"\(t, code\) pairs"),
+                           ([[0.0, 1]], r"\(t, code\) pairs")):
+        with pytest.raises(DataError, match=message):
+            make_session(np.ones(100), np.ones(100), fs=100.0, track=track)
+
+
+@st.composite
+def bundles_with_track_faults(draw):
+    """A 100 Hz bundle's bytes, its track's byte offset and record count,
+    with bad codes (3-255) and times that tie or undercut the previous
+    record's, or land anywhere in the recording, written over random
+    records; one record may take both faults."""
+    fs, n = 100.0, draw(st.integers(10, 300))
+    cells = sorted(set(draw(st.lists(st.integers(0, n), min_size=1,
+                                     max_size=12))))
+    rec = np.array([(c / fs, draw(st.integers(0, 2))) for c in cells],
+                   dtype=TRACK)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, rec.size - 1))
+        kind = draw(st.sampled_from(["code", "time", "both"]))
+        if kind in ("code", "both"):
+            rec["c"][i] = draw(st.integers(3, 255))
+        if kind in ("time", "both"):
+            before = rec["t"][i - 1] if i else 0.0
+            rec["t"][i] = draw(st.one_of(st.just(before),
+                                         st.floats(0.0, before),
+                                         st.floats(0.0, n / fs)))
+    header = f"WSCAT1\nfs=100\nrat=rat1\ngroup=food\nphase=post\n" \
+        f"nsamples={n}\nntrack={rec.size}\n\n".encode()
+    body = np.ones(2 * n).astype("<f8").tobytes() + rec.tobytes()
+    return header + body, len(header) + 16 * n, rec.size
+
+
+@given(bundles_with_track_faults())
+@settings(max_examples=300, deadline=None)
+def test_track_faults_match_per_record_oracle(tmp_path_factory, drawn):
+    blob, offset, m = drawn
+    path = tmp_path_factory.mktemp("faults") / "s.wscat"
+    path.write_bytes(blob)
+    rec = np.frombuffer(blob, dtype=TRACK, count=m, offset=offset)
+    try:
+        expected = track_by_record(rec, offset)
+    except BundleFormatError as exc:
+        with pytest.raises(BundleFormatError) as got:
+            load_session(path)
+        assert str(got.value) == str(exc)
+        assert got.value.offset == exc.offset
+    else:
+        assert load_session(path).track.tolist() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +159,7 @@ def test_single_chamber_window_count(single_chamber_session):
 
 
 def test_transition_windows_dropped_against_bruteforce():
-    track = [PositionSample(0.0, Chamber.REWARDED),
-             PositionSample(5.0, Chamber.NULL)]
+    track = [(0.0, Chamber.REWARDED.value), (5.0, Chamber.NULL.value)]
     session = make_session(np.zeros(10_000), np.zeros(10_000), track=track)
     segments = segment_by_chamber(session, 1.0, 1.0)
     hip_segs = [s for s in segments if s.channel is Channel.HIP]
@@ -114,9 +174,8 @@ def test_transition_windows_dropped_against_bruteforce():
 
 
 def test_all_three_chambers_appear():
-    track = [PositionSample(0.0, Chamber.REWARDED),
-             PositionSample(3.0, Chamber.NULL),
-             PositionSample(6.0, Chamber.UNREWARDED)]
+    track = [(0.0, Chamber.REWARDED.value), (3.0, Chamber.NULL.value),
+             (6.0, Chamber.UNREWARDED.value)]
     session = make_session(np.zeros(9000), np.zeros(9000), track=track)
     segments = segment_by_chamber(session, 1.0, 0.5)
     assert ({s.chamber for s in segments}
@@ -129,11 +188,10 @@ def test_segmentation_exhaustive_and_exclusive(n_changes, seed):
     rng = np.random.default_rng(seed)
     fs, dur = 100.0, 30.0
     times = np.sort(rng.uniform(0.0, dur - 0.2, n_changes - 1))
-    track = [PositionSample(0.0, Chamber(int(rng.integers(0, 3))))]
+    track = [(0.0, int(rng.integers(0, 3)))]
     for t in times:
-        if t > track[-1].t:
-            track.append(PositionSample(float(t),
-                                        Chamber(int(rng.integers(0, 3)))))
+        if t > track[-1][0]:
+            track.append((float(t), int(rng.integers(0, 3))))
     session = make_session(np.zeros(int(dur * fs)), np.zeros(int(dur * fs)),
                            fs=fs, track=track)
     segments = segment_by_chamber(session, 1.0, 0.5)
@@ -156,10 +214,37 @@ def test_segmentation_errors(single_chamber_session):
 
 
 def test_chamber_codes_zero_order_hold():
-    track = [PositionSample(0.5, Chamber.NULL)]
+    track = np.array([(0.5, Chamber.NULL.value)], dtype=TRACK)
     codes = chamber_codes(track, 10.0, 20)
     assert np.all(codes[:5] == -1)
     assert np.all(codes[5:] == Chamber.NULL.value)
+
+
+@st.composite
+def tracks(draw):
+    """Sample count, rate and (t, code) fixes; a fix may fall anywhere in
+    a sample, up to the recording's end."""
+    n = draw(st.integers(1, 400))
+    fs = draw(st.sampled_from([7.3, 30.0, 250.0, 1000.0]))
+    times = {min(n / fs, (cell + frac) / fs) for cell, frac in draw(
+        st.lists(st.tuples(st.integers(0, n),
+                           st.sampled_from([0.0, 0.2, 0.5, 0.9])),
+                 min_size=1, max_size=10))}
+    return n, fs, [(t, draw(st.integers(0, 2))) for t in sorted(times)]
+
+
+@given(tracks())
+@example((20, 10.0, [(0.55, 1), (1.2, 2)]))           # first fix after t=0
+@example((20, 10.0, [(0.0, 0), (0.52, 1), (0.58, 2)]))  # two in one sample
+@example((20, 10.0, [(0.0, 2), (1.9, 1)]))             # at the last sample
+@example((20, 10.0, [(0.0, 2), (2.0, 0)]))             # at the end
+@settings(max_examples=300, deadline=None)
+def test_chamber_codes_equal_per_fix_oracle(drawn):
+    n, fs, track = drawn
+    session = make_session(np.zeros(n), np.zeros(n), fs=fs, track=track)
+    codes = session.chamber_per_sample()
+    assert codes.dtype == np.int8
+    assert codes.tolist() == chamber_codes_by_fix(track, fs, n).tolist()
 
 
 # ---------------------------------------------------------------------------

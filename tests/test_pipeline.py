@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from wavescat import pipeline
 from wavescat.coherence import SmoothingSpec
 from wavescat.cwt import next_pow2
-from wavescat.model import Chamber, Channel, PositionSample, chamber_windows
+from wavescat.model import Chamber, Channel, chamber_windows
 from wavescat.pipeline import BankConfig, cwt_table, wcoh_table
 
 from conftest import make_session
@@ -44,8 +44,7 @@ def tracked_sessions(draw, min_s, max_s):
     n = int(draw(st.floats(min_s, max_s)) * fs)
     times = sorted(set(draw(st.lists(st.integers(0, n - 1), min_size=1,
                                      max_size=6))))
-    track = [PositionSample(t / fs, Chamber(draw(st.integers(0, 2))))
-             for t in times]
+    track = [(t / fs, draw(st.integers(0, 2))) for t in times]
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     session = make_session(rng.standard_normal(n), rng.standard_normal(n),
                            fs=fs, track=track)

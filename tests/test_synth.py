@@ -52,7 +52,7 @@ def test_sessions_independent_of_cohort_composition():
 def test_track_is_strictly_increasing_and_covers_start():
     spec = SynthSpec(session_len=60.0, seed=5)
     session = generate_session(spec, "rat2", Group.SALINE, Phase.PRE)
-    times = [p.t for p in session.track]
+    times = session.track["t"].tolist()
     assert times[0] == 0.0
     assert all(b > a for a, b in zip(times, times[1:]))
     assert times[-1] <= spec.session_len
@@ -64,7 +64,7 @@ def test_all_chambers_visited_across_cohort():
     seen = set()
     for rid, group in spec.rats():
         session = generate_session(spec, rid, group, Phase.POST)
-        seen |= {p.chamber for p in session.track}
+        seen |= {Chamber(c) for c in session.track["c"].tolist()}
     assert seen == {Chamber.REWARDED, Chamber.NULL, Chamber.UNREWARDED}
 
 
