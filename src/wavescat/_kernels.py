@@ -95,8 +95,7 @@ def best_split_column(x, y, n_classes, min_leaf=1):
     return best
 
 
-def _svm_gap(X, y, c_i, alpha, w):
-    margins = 1.0 - y * (X @ w)
+def _svm_gap(margins, c_i, alpha, w):
     hinge = np.where(margins > 0.0, margins, 0.0)
     wsq = float(w @ w)
     primal = 0.5 * wsq + float(c_i @ hinge)
@@ -125,12 +124,15 @@ def svm_dual_solve(X, y, c_i, tol, max_epochs):
     step = 1.0 / lip
     epochs = 0
     gap = np.inf
+    # 1 - y * (X @ w) is both the dual gradient and the hinge margin, so
+    # one product per epoch serves this epoch's gap and the next step
+    margins = 1.0 - y * (X @ w)
     for _ in range(int(max_epochs)):
         epochs += 1
-        grad = 1.0 - y * (X @ w)
-        alpha = np.clip(alpha + step * grad, 0.0, c_i)
+        alpha = np.clip(alpha + step * margins, 0.0, c_i)
         w = X.T @ (alpha * y)
-        gap = _svm_gap(X, y, c_i, alpha, w)
+        margins = 1.0 - y * (X @ w)
+        gap = _svm_gap(margins, c_i, alpha, w)
         if gap <= tol:
             break
     return w, alpha, float(gap), int(epochs)

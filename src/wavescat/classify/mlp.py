@@ -21,12 +21,10 @@ class MlpModel:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # min(z, -z) is -z where z >= 0 and z elsewhere, so neither branch
+    # can overflow; unlike -|z| it returns a NaN with its own sign bit
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softmax(z):

@@ -97,11 +97,10 @@ class RecordingSession:
             raise DataError("hip/nac sampling rates differ")
         if self.hip.samples.size != self.nac.samples.size:
             raise DataError("channel length mismatch")
-        try:
-            self.track = np.asarray(self.track, dtype=TRACK)
-        except (TypeError, ValueError, OverflowError):
-            self.track = None
-        if self.track is None or self.track.ndim != 1:
+        if not (isinstance(self.track, np.ndarray)
+                and self.track.dtype == TRACK):
+            self.track = _track_from_pairs(self.track)
+        if self.track.ndim != 1:
             raise DataError("track must be a sequence of (t, code) pairs")
         if self.track.size == 0:
             raise DataError("track is empty")
@@ -140,6 +139,25 @@ class Segment:
     chamber: Chamber
     start_time: float
     rat_id: str = ""
+
+
+def _track_from_pairs(pairs) -> np.ndarray:
+    """TRACK records from a sequence of (t, code) pairs. Casting to TRACK
+    alone would truncate a code of 1.7 to 1 and spread a bare time t
+    over both fields, so the pairs are also read as floats and compared."""
+    try:
+        track = np.asarray(pairs, dtype=TRACK)
+        values = np.asarray(pairs, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError("track must be a sequence of (t, code) pairs") from None
+    if track.ndim != 1 or track.size == 0:
+        return track                   # the session reports either fault
+    if values.shape != (track.size, 2):
+        raise DataError("track must be a sequence of (t, code) pairs")
+    bad = np.flatnonzero(values[:, 1] != track["c"])
+    if bad.size:
+        raise DataError(f"unknown chamber code {float(values[bad[0], 1])!r}")
+    return track
 
 
 def chamber_codes(track: np.ndarray, fs: float, n: int) -> np.ndarray:

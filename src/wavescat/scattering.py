@@ -14,6 +14,14 @@ plus any zero-padding). The wavelet shape per layer is derived from its
 voice density so adjacent voices overlap near half power, and each
 bank is rescaled so its summed squared response stays below one -
 that makes layer energies non-increasing order by order.
+
+Filters are sampled on the segment's own DFT grid, but each layer is
+inverse-transformed on a shorter grid sized to its band (Anden & Mallat
+2014, "Deep Scattering Spectrum"): a power of two of at least 16x (layer
+1) or 8x (layer 2) the highest bin it holds, or the segment length when
+no shorter grid fits. Against the transform at the full segment length,
+every value stays within 1e-4 times its layer's largest value and the
+layer energies within a relative 1e-6.
 """
 
 from __future__ import annotations
@@ -27,6 +35,11 @@ from .errors import DataError
 from .morse import MorseParams, build_filterbank
 
 LN2 = float(np.log(2.0))
+# a filter's support ends at its last bin above this fraction of its peak
+SUPPORT_FLOOR = 1e-12
+# each layer's grid is at least this many times the highest bin it holds
+LAYER1_OVERSAMPLE = 16
+LAYER2_OVERSAMPLE = 8
 
 
 @dataclass(frozen=True)
@@ -65,17 +78,32 @@ class ScatteringFeatures:
     paths: list[tuple]
 
 
+def _support(row: np.ndarray, floor: float) -> int:
+    """Last bin of ``row`` whose magnitude exceeds ``floor`` x its peak."""
+    mag = np.abs(row)
+    return int(np.flatnonzero(mag > floor * mag.max())[-1])
+
+
 def _tb_for_q(q: int, gamma: float) -> float:
     # half-power width of the log-frequency response ~ 1/q octave
     return 8.0 * q * q / (gamma * LN2)
 
 
 class _Engine:
-    """Precomputed banks and low-pass for one (params, length) pair.
+    """Precomputed banks, grids and low-pass for one (params, length) pair.
 
-    Transforms run at the exact segment length (periodic boundary, the
-    same convention as the CWT engine); a constant segment therefore
-    stays a pure DC line, which every analytic wavelet maps to zero.
+    The filters live on the segment's length-n DFT grid (periodic
+    boundary, the same convention as the CWT engine); a constant segment
+    therefore stays a pure DC line, which every analytic wavelet maps to
+    zero. Each layer then runs on a grid sized to its own band, of the
+    same period: an M-point inverse FFT of a spectrum whose bins all lie
+    below M returns the full-grid trajectory at M equally spaced times.
+    Layer 1 inverts each group of f1 voices on a power-of-two grid of at
+    least ``LAYER1_OVERSAMPLE`` x the highest bin the voice fills or its
+    second-order paths and time average read from U1's spectrum; layer 2
+    inverts each f2's paths on one grid of at least ``LAYER2_OVERSAMPLE``
+    x that filter's support. A grid that would not be shorter than n is
+    n itself, where the layer is the full-resolution transform.
     """
 
     def __init__(self, params: ScatteringParams, n_sig: int):
@@ -83,7 +111,7 @@ class _Engine:
             raise DataError("segment shorter than the invariance scale T")
         self.params = params
         self.n_sig = n_sig
-        self.n = n_sig
+        self.n = n = n_sig
         fs = params.fs
         self.bank1 = build_filterbank(
             self.n, fs, MorseParams(params.gamma, _tb_for_q(params.q1, params.gamma)),
@@ -93,8 +121,12 @@ class _Engine:
             voices_per_octave=params.q2, fmin=params.band_min, fmax=params.fmax)
         self.f1 = self.bank1.center_frequencies
         self.f2 = self.bank2.center_frequencies
-        self.filters1 = self._frame_normalized(self.bank1.filters)
-        self.filters2 = self._frame_normalized(self.bank2.filters)
+        # Morse filters vanish at negative frequencies, so the rfft bins
+        # 0..n//2 hold all of each filter; each keeps bins 0..support
+        filters1 = self._frame_normalized(self.bank1.filters)[:, :n // 2 + 1]
+        filters2 = self._frame_normalized(self.bank2.filters)[:, :n // 2 + 1]
+        support1 = [_support(row, SUPPORT_FLOOR) for row in filters1]
+        support2 = [_support(row, SUPPORT_FLOOR) for row in filters2]
         # Gaussian low-pass, unit DC gain
         sigma_samples = params.t * fs / 2.0
         k = np.arange(self.n)
@@ -104,22 +136,51 @@ class _Engine:
         self.valid = slice(guard, n_sig - guard)
         # Averaging a smoothed trajectory over the valid window is one
         # fixed weighted sum: w[tau] = mean over valid t of phi[t - tau].
+        # w is a low-pass, so its few bins above rounding give it on any
+        # grid.
         indicator = np.zeros(self.n)
         indicator[self.valid] = 1.0
-        self.avg_weights = (np.fft.ifft(np.fft.fft(indicator)
-                                        * self.phi_hat).real
-                            / indicator.sum())
+        self._w_hat = np.fft.fft(indicator) * self.phi_hat / indicator.sum()
+        self._w_bins = _support(self._w_hat[:n // 2 + 1], np.finfo(float).eps)
+        self.avg_weights = self._weights_on(n)
         # second-order path table: (index into f1, index into f2)
         self.pairs = [(i, j)
                       for i in range(self.f1.size)
                       for j in range(self.f2.size)
                       if self.f2[j] < self.f1[i]]
-        self.pair_i = np.array([i for i, _ in self.pairs], dtype=np.int64)
-        self.pair_j = np.array([j for _, j in self.pairs], dtype=np.int64)
         self.paths: list[tuple] = [()]
         self.paths += [(float(f),) for f in self.f1]
         self.paths += [(float(self.f1[i]), float(self.f2[j]))
                        for i, j in self.pairs]
+
+        # highest bin of U1's spectrum that each f1's paths read, -1 if none
+        read = [-1] * self.f1.size
+        for i, j in self.pairs:
+            read[i] = max(read[i], support2[j])
+        grids1 = np.array([
+            self._grid(LAYER1_OVERSAMPLE
+                       * max(support1[i], read[i], self._w_bins))
+            for i in range(self.f1.size)])
+        self.u1_bins = max(read) + 1
+        # (f1 rows, grid, filter bins, U1 spectrum bins kept, grid weights)
+        self.layer1 = []
+        for m in sorted(set(grids1.tolist()), reverse=True):
+            rows = np.flatnonzero(grids1 == m)
+            width = max(support1[i] for i in rows) + 1
+            keep = max(read[i] for i in rows) + 1
+            self.layer1.append((rows, m, filters1[rows, :width], keep,
+                                self._weights_on(m)))
+        # (f1 rows, positions in the path table, grid, filter, grid weights)
+        self.layer2 = []
+        for j in range(self.f2.size):
+            group = [(p, i) for p, (i, jj) in enumerate(self.pairs) if jj == j]
+            if not group:
+                continue
+            m = self._grid(LAYER2_OVERSAMPLE * max(support2[j], self._w_bins))
+            self.layer2.append((np.array([i for _, i in group]),
+                                np.array([p for p, _ in group]), m,
+                                filters2[j, :support2[j] + 1],
+                                self._weights_on(m)))
 
     @staticmethod
     def _frame_normalized(filters: np.ndarray) -> np.ndarray:
@@ -127,29 +188,56 @@ class _Engine:
         bound = float(frame.max())
         return filters / np.sqrt(bound) if bound > 1.0 else filters.copy()
 
-    def transform(self, x: np.ndarray, with_energies: bool = False):
-        n = self.n
-        spectrum = np.fft.fft(x)
-        w = self.avg_weights
+    def _grid(self, bins: int) -> int:
+        """Smallest power of two >= bins, or n when that is not below n."""
+        m = 1 << (int(bins) - 1).bit_length()
+        return m if m < self.n else self.n
 
-        s0 = float(x @ w)
-        u1 = np.abs(np.fft.ifft(spectrum[None, :] * self.filters1, axis=1))
-        s1 = u1 @ w
-        if self.pairs:
-            u1_hat = np.fft.fft(u1, axis=1)
-            u2 = np.abs(np.fft.ifft(u1_hat[self.pair_i]
-                                    * self.filters2[self.pair_j], axis=1))
-            s2 = u2 @ w
-        else:
-            u2 = np.zeros((0, n))
-            s2 = np.zeros(0)
+    def _weights_on(self, m: int) -> np.ndarray:
+        """w sampled at m equally spaced times of the segment's period."""
+        kw, n = self._w_bins, self.n
+        w_hat = np.zeros(m, dtype=complex)
+        w_hat[:kw + 1] = self._w_hat[:kw + 1]
+        w_hat[m - kw:] = self._w_hat[n - kw:]
+        return np.fft.ifft(w_hat).real * (m / n)
+
+    def transform(self, x: np.ndarray, with_energies: bool = False):
+        # On an M-point grid the inverse FFT returns |z| scaled by n/M, so
+        # the rfft of that modulus is U's full-grid spectrum unchanged, the
+        # time average is its dot product with w's samples, and the energy
+        # of the n-sample trajectory is M/n times its sum of squares.
+        n = self.n
+        spectrum = np.fft.rfft(x)
+        s0 = float(x @ self.avg_weights)
+
+        s1 = np.empty(self.f1.size)
+        e1 = 0.0
+        u1_hat = np.zeros((self.f1.size, self.u1_bins), dtype=complex)
+        for rows, m, filt, keep, w in self.layer1:
+            z = np.zeros((rows.size, m), dtype=complex)
+            z[:, :filt.shape[1]] = spectrum[:filt.shape[1]] * filt
+            u1 = np.abs(np.fft.ifft(z, axis=1))
+            s1[rows] = u1 @ w
+            if keep:
+                u1_hat[rows, :keep] = np.fft.rfft(u1, axis=1)[:, :keep]
+            if with_energies:
+                e1 += (m / n) * float(np.sum(u1 ** 2))
+
+        s2 = np.empty(len(self.pairs))
+        e2 = 0.0
+        for rows, positions, m, filt, w in self.layer2:
+            z = np.zeros((rows.size, m), dtype=complex)
+            z[:, :filt.size] = u1_hat[rows, :filt.size] * filt
+            u2 = np.abs(np.fft.ifft(z, axis=1))
+            s2[positions] = u2 @ w
+            if with_energies:
+                e2 += (m / n) * float(np.sum(u2 ** 2))
 
         values = np.maximum(np.concatenate([[s0], s1, s2]), 0.0)
         if not with_energies:
             return values
         energies = (float(np.sum(np.asarray(x, dtype=np.float64) ** 2)),
-                    float(np.sum(u1 ** 2)),
-                    float(np.sum(u2 ** 2)))
+                    e1, e2)
         return values, energies
 
 

@@ -5,11 +5,14 @@ bracketing search plus parabolic refinement, the reference CWT is a
 direct O(N^2) DFT evaluation, smoothing is a literal double loop and
 the CART split scan sorts and scores one feature column at a time, the
 phase overlay tests one grid cell at a time, a bundle's track records
-are checked and a track held one record at a time, and whole groups
-are dealt into folds by a name-to-fold map. The window reductions
-are the exception: they run the library's CWT and coherence, then test
-each hop-grid start and reduce each window on its own, one Python
-iteration per window.
+are checked and a track held one record at a time, whole groups are
+dealt into folds by a name-to-fold map, the SVM solver computes
+``X @ w`` twice per epoch and the sigmoid splits its input by boolean
+masks. Two references are exceptions. The window reductions run the
+library's CWT and coherence, then test each hop-grid start and reduce
+each window on its own, one Python iteration per window. The
+scattering reference builds the library's filter banks, then
+transforms every layer at the full segment length.
 """
 
 import numpy as np
@@ -18,6 +21,8 @@ from wavescat.coherence import coherence
 from wavescat.cwt import cwt, scalogram_magnitude
 from wavescat.errors import BundleFormatError, DataError
 from wavescat.model import Chamber
+from wavescat.morse import MorseParams, build_filterbank
+from wavescat.scattering import ScatteringParams, _tb_for_q
 
 
 def _parabolic_vertex(fn, w0, h):
@@ -291,3 +296,140 @@ def deal_groups_by_name(groups, k, seed):
     for i, g in enumerate(groups):
         folds[assignment[g]].append(i)
     return [np.array(sorted(f), dtype=np.int64) for f in folds]
+
+
+class FullGridEngine:
+    """Precomputed banks and low-pass for one (params, length) pair.
+
+    Transforms run at the exact segment length (periodic boundary, the
+    same convention as the CWT engine); a constant segment therefore
+    stays a pure DC line, which every analytic wavelet maps to zero.
+    """
+
+    def __init__(self, params: ScatteringParams, n_sig: int):
+        if n_sig < params.t * params.fs:
+            raise DataError("segment shorter than the invariance scale T")
+        self.params = params
+        self.n_sig = n_sig
+        self.n = n_sig
+        fs = params.fs
+        self.bank1 = build_filterbank(
+            self.n, fs, MorseParams(params.gamma, _tb_for_q(params.q1, params.gamma)),
+            voices_per_octave=params.q1, fmin=params.band_min, fmax=params.fmax)
+        self.bank2 = build_filterbank(
+            self.n, fs, MorseParams(params.gamma, _tb_for_q(params.q2, params.gamma)),
+            voices_per_octave=params.q2, fmin=params.band_min, fmax=params.fmax)
+        self.f1 = self.bank1.center_frequencies
+        self.f2 = self.bank2.center_frequencies
+        self.filters1 = self._frame_normalized(self.bank1.filters)
+        self.filters2 = self._frame_normalized(self.bank2.filters)
+        # Gaussian low-pass, unit DC gain
+        sigma_samples = params.t * fs / 2.0
+        k = np.arange(self.n)
+        omega = 2.0 * np.pi * np.minimum(k, self.n - k) / self.n
+        self.phi_hat = np.exp(-0.5 * (omega * sigma_samples) ** 2)
+        guard = min(int(round(params.t * fs / 2.0)), (n_sig - 1) // 2)
+        self.valid = slice(guard, n_sig - guard)
+        # Averaging a smoothed trajectory over the valid window is one
+        # fixed weighted sum: w[tau] = mean over valid t of phi[t - tau].
+        indicator = np.zeros(self.n)
+        indicator[self.valid] = 1.0
+        self.avg_weights = (np.fft.ifft(np.fft.fft(indicator)
+                                        * self.phi_hat).real
+                            / indicator.sum())
+        # second-order path table: (index into f1, index into f2)
+        self.pairs = [(i, j)
+                      for i in range(self.f1.size)
+                      for j in range(self.f2.size)
+                      if self.f2[j] < self.f1[i]]
+        self.pair_i = np.array([i for i, _ in self.pairs], dtype=np.int64)
+        self.pair_j = np.array([j for _, j in self.pairs], dtype=np.int64)
+        self.paths: list[tuple] = [()]
+        self.paths += [(float(f),) for f in self.f1]
+        self.paths += [(float(self.f1[i]), float(self.f2[j]))
+                       for i, j in self.pairs]
+
+    @staticmethod
+    def _frame_normalized(filters: np.ndarray) -> np.ndarray:
+        frame = np.sum(filters ** 2, axis=0)
+        bound = float(frame.max())
+        return filters / np.sqrt(bound) if bound > 1.0 else filters.copy()
+
+    def transform(self, x: np.ndarray, with_energies: bool = False):
+        n = self.n
+        spectrum = np.fft.fft(x)
+        w = self.avg_weights
+
+        s0 = float(x @ w)
+        u1 = np.abs(np.fft.ifft(spectrum[None, :] * self.filters1, axis=1))
+        s1 = u1 @ w
+        if self.pairs:
+            u1_hat = np.fft.fft(u1, axis=1)
+            u2 = np.abs(np.fft.ifft(u1_hat[self.pair_i]
+                                    * self.filters2[self.pair_j], axis=1))
+            s2 = u2 @ w
+        else:
+            u2 = np.zeros((0, n))
+            s2 = np.zeros(0)
+
+        values = np.maximum(np.concatenate([[s0], s1, s2]), 0.0)
+        if not with_energies:
+            return values
+        energies = (float(np.sum(np.asarray(x, dtype=np.float64) ** 2)),
+                    float(np.sum(u1 ** 2)),
+                    float(np.sum(u2 ** 2)))
+        return values, energies
+
+
+
+def full_grid_scatter(x, params: ScatteringParams, with_energies=False):
+    """Scattering values (and layer energies) at the full segment length."""
+    x = np.asarray(x, dtype=np.float64)
+    return FullGridEngine(params, x.size).transform(x, with_energies)
+
+
+def svm_gap_two_pass(X, y, c_i, alpha, w):
+    margins = 1.0 - y * (X @ w)
+    hinge = np.where(margins > 0.0, margins, 0.0)
+    wsq = float(w @ w)
+    primal = 0.5 * wsq + float(c_i @ hinge)
+    dual = float(alpha.sum()) - 0.5 * wsq
+    return (primal - dual) / (1.0 + abs(primal))
+
+
+def svm_dual_solve_two_pass(X, y, c_i, tol, max_epochs):
+    """Projected-gradient SVM dual that recomputes X @ w for the gap and
+    again for the next epoch's gradient; returns (w, alpha, gap, epochs)."""
+    alpha = np.zeros(X.shape[0])
+    w = np.zeros(X.shape[1])
+    v = np.ones(X.shape[0])
+    for _ in range(30):
+        v = X @ (X.T @ v)
+        nv = np.linalg.norm(v)
+        if nv == 0.0:
+            break
+        v /= nv
+    lip = float(np.linalg.norm(X @ (X.T @ v))) or 1.0
+    step = 1.0 / lip
+    epochs = 0
+    gap = np.inf
+    for _ in range(int(max_epochs)):
+        epochs += 1
+        grad = 1.0 - y * (X @ w)
+        alpha = np.clip(alpha + step * grad, 0.0, c_i)
+        w = X.T @ (alpha * y)
+        gap = svm_gap_two_pass(X, y, c_i, alpha, w)
+        if gap <= tol:
+            break
+    return w, alpha, float(gap), int(epochs)
+
+
+def sigmoid_masked(z):
+    """Logistic sigmoid evaluated separately on the z >= 0 and z < 0
+    entries, selected by boolean masks."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out

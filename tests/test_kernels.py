@@ -11,7 +11,8 @@ from wavescat import _kernels
 from wavescat._kernels import (best_split_column, boxcar_scale, boxcar_time,
                                svm_dual_solve)
 
-from oracles import brute_force_smooth, split_scan_by_column
+from oracles import (brute_force_smooth, split_scan_by_column,
+                     svm_dual_solve_two_pass)
 
 
 def random_complex(seed, shape=(7, 48)):
@@ -91,3 +92,30 @@ def test_pg_solver_standalone_contract():
     assert np.all(alpha >= 0) and np.all(alpha <= 1.0 + 1e-12)
     margins = y * (aug @ w)
     assert (margins > 0).mean() > 0.95
+
+
+@st.composite
+def svm_problems(draw):
+    """Augmented features, +-1 labels, per-sample C and a stopping rule;
+    loose tolerances stop after a few epochs, tight ones at the limit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(0, 5))
+    x = rng.standard_normal((n, d)) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    if draw(st.booleans()):
+        x = np.round(x)                    # ties, zero rows, constant columns
+    aug = np.hstack([x, np.ones((n, 1))])
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    c_i = np.full(n, draw(st.sampled_from([0.01, 1.0, 20.0])))
+    tol = draw(st.sampled_from([0.0, 1e-4, 1e-2, 0.3, 0.9]))
+    return aug, y, c_i, tol, draw(st.sampled_from([1, 2, 7, 60, 400]))
+
+
+@given(svm_problems())
+@settings(max_examples=200, deadline=None)
+def test_pg_solver_equals_two_pass_oracle(problem):
+    got = svm_dual_solve(*problem)
+    expected = svm_dual_solve_two_pass(*problem)
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
+    assert got[2:] == expected[2:]

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from wavescat.classify import Dataset, loss_and_grad, predict_mlp, train_mlp
-from wavescat.classify.mlp import MlpModel, decision_values_mlp
+from wavescat.classify.mlp import MlpModel, _sigmoid, decision_values_mlp
 from wavescat.errors import DataError, NumericalError
+
+from oracles import sigmoid_masked
 
 
 def two_point_classes():
@@ -97,3 +99,14 @@ def test_validation_errors():
     model = train_mlp(data, hidden=(2,), epochs=2, learning_rate=0.1, seed=0)
     with pytest.raises(DataError, match="expected 1 features"):
         predict_mlp(model, [[0.0, 1.0]])
+
+
+def test_sigmoid_bits_equal_masked_oracle():
+    rng = np.random.default_rng(4)
+    extreme = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                        np.finfo(float).max, -np.finfo(float).max,
+                        np.finfo(float).tiny, -np.finfo(float).tiny,
+                        5e-324, -5e-324, 36.0, -36.0, 745.2, -745.2])
+    for z in (rng.standard_normal((131, 64)) * 8.0, extreme):
+        got, expected = _sigmoid(z), sigmoid_masked(z)
+        assert np.array_equal(got.view(np.uint8), expected.view(np.uint8))

@@ -96,7 +96,12 @@ def test_unknown_chamber_code_offset(tmp_path):
     for track, message in (([(0.0, 1), (0.5, 3)], "unknown chamber code 3"),
                            ([], "track is empty"),
                            ([(0.0,)], r"\(t, code\) pairs"),
-                           ([[0.0, 1]], r"\(t, code\) pairs")):
+                           ([[0.0, 1]], r"\(t, code\) pairs"),
+                           ([0.0], r"\(t, code\) pairs"),
+                           ([(0.0, 1), 0.5], r"\(t, code\) pairs"),
+                           ([(0.0, 1.7)], "unknown chamber code 1.7"),
+                           ([(0.0, 2), (0.5, 0.5)],
+                            "unknown chamber code 0.5")):
         with pytest.raises(DataError, match=message):
             make_session(np.ones(100), np.ones(100), fs=100.0, track=track)
 

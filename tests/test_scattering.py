@@ -7,6 +7,8 @@ from wavescat.pipeline import FeatureTable, table_to_csv
 from wavescat.scattering import (ScatteringParams, feature_matrix,
                                  layer_energies, path_names, scatter)
 
+from oracles import full_grid_scatter
+
 FS = 1000.0
 PARAMS = ScatteringParams(t=0.5, q1=8, q2=1, fs=FS)
 
@@ -73,6 +75,42 @@ def test_am_tone_second_order_ridge():
     f2_grid = sorted({p[1] for _, p in seconds})
     nearest = min(f2_grid, key=lambda f: abs(f - 4.0))
     assert best[1] == nearest
+
+
+def oracle_inputs(n, fs):
+    """White noise, a tone near Nyquist plus noise, a random walk and a
+    square wave, each n samples at rate fs."""
+    rng = np.random.default_rng(n)
+    t = np.arange(n) / fs
+    return [rng.standard_normal(n),
+            np.cos(2 * np.pi * 0.45 * fs * t) + 0.1 * rng.standard_normal(n),
+            np.cumsum(rng.standard_normal(n)),
+            np.where(np.sin(2 * np.pi * 3.3 * t) >= 0, 1.0, -1.0)]
+
+
+# Each layer runs on its own decimated grid; the full-length transform is
+# the reference. At 250 and 500 Hz the top voices reach Nyquist, so some
+# grids cannot shrink. The bound is relative to each layer's largest
+# value, because some S2 paths are at the oracle's own rounding level.
+@pytest.mark.parametrize("params, n", [
+    (ScatteringParams(), 1000),
+    (ScatteringParams(), 700),
+    (ScatteringParams(), 2000),
+    (ScatteringParams(fs=250.0), 250),
+    (ScatteringParams(fs=500.0), 500),
+    (ScatteringParams(q1=4, t=0.25), 1000),
+])
+def test_decimated_layers_match_full_grid_oracle(params, n):
+    for x in oracle_inputs(n, params.fs):
+        feats = scatter(x, params)
+        expected, expected_energies = full_grid_scatter(x, params, True)
+        orders = np.array([len(p) for p in feats.paths])
+        for order in range(3):
+            got, want = feats.values[orders == order], expected[orders == order]
+            if want.size:
+                assert np.abs(got - want).max() <= 1e-4 * want.max()
+        np.testing.assert_allclose(layer_energies(x, params),
+                                   expected_energies, rtol=1e-6, atol=0.0)
 
 
 def test_energy_dissipation():

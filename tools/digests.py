@@ -55,6 +55,8 @@ RUNS = [
           "--per-rat --model mlp"),
     ("A", "joint --seed 2 --c 0.5 --tol 0.01 --max-iter 50 --k 5"),
     (None, "joint --seed 1 --stats-from {work}/run10/joint_confusion.csv"),
+    ("B", "features scatter"),
+    ("A", "features scatter --window 0.7 --q1 4 --t 0.25"),
 ]
 
 TOKEN = "<RUN>"
