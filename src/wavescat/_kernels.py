@@ -5,10 +5,10 @@ import numpy as np
 
 
 def boxcar_time(mat, widths):
-    """Per-row periodic moving average along axis 1."""
+    """Per-row periodic moving average along axis 1; a width above the
+    row length wraps around the row more than once."""
     widths = np.asarray(widths, dtype=np.int64)
     out = np.empty_like(mat)
-    n = mat.shape[1]
     for j in range(mat.shape[0]):
         w = int(widths[j])
         if w <= 1:
@@ -16,7 +16,7 @@ def boxcar_time(mat, widths):
             continue
         lo = (w - 1) // 2
         hi = w // 2
-        padded = np.concatenate([mat[j, n - lo:], mat[j], mat[j, :hi]])
+        padded = np.pad(mat[j], (lo, hi), mode="wrap")
         csum = np.cumsum(padded)
         out[j] = (csum[w - 1:] - np.concatenate([[0], csum[:-w]])) / w
     return out

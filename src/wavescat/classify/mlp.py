@@ -3,7 +3,7 @@ full-batch gradient descent on cross-entropy."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +16,8 @@ class MlpModel:
     layer_sizes: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    mean: np.ndarray = field(default=None)
-    std: np.ndarray = field(default=None)
+    mean: np.ndarray
+    std: np.ndarray
 
 
 def _sigmoid(z):
@@ -68,7 +68,7 @@ def train_mlp(data: Dataset, hidden=(64,), epochs: int = 300,
         raise DataError("hidden sizes must be at least 1")
     if epochs < 1:
         raise DataError("epochs must be at least 1")
-    if learning_rate <= 0:
+    if not learning_rate > 0:
         raise DataError("learning_rate must be positive")
     if data.n_classes < 2:
         raise DataError("need at least two classes")
@@ -98,9 +98,7 @@ def decision_values_mlp(model: MlpModel, features: np.ndarray) -> np.ndarray:
     if features.shape[1] != model.layer_sizes[0]:
         raise DataError(f"expected {model.layer_sizes[0]} features, "
                         f"got {features.shape[1]}")
-    a = features
-    if model.mean is not None:
-        a = (a - model.mean) / model.std
+    a = (features - model.mean) / model.std
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         a = _sigmoid(a @ w + b)
     return _softmax(a @ model.weights[-1] + model.biases[-1])

@@ -35,7 +35,7 @@ class OvaSvmModel:
 
 def train_svm_ova(data: Dataset, c: float = 1.0, tol: float = 1e-3,
                   max_iter: int = 300) -> OvaSvmModel:
-    if c <= 0:
+    if not c > 0:
         raise DataError("C must be positive")
     if max_iter < 1:
         raise DataError("max_iter must be at least 1")

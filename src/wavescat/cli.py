@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .classify import (Dataset, confusion_from_counts_csv, confusion_stats,
                        train_tree, tree_complexity)
 from .coherence import SmoothingSpec, coherence, phase_overlay, overlay_to_csv
 from .csvfile import write_csv
-from .cwt import cwt, next_pow2, scalogram_magnitude, scalogram_to_csv
+from .cwt import cwt, scalogram_magnitude, scalogram_to_csv
 from .errors import DataError, NumericalError
 from .model import Channel, Group, Phase
 from .netpbm import to_gray, write_pgm
@@ -58,6 +59,14 @@ def _boolean(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _finite(text: str) -> float:
+    """A float option's value; NaN and infinities are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _sizes(text: str) -> str:
     """Comma-separated layer sizes, checked but kept as the text that
     the config line records."""
@@ -72,7 +81,7 @@ class Option:
     config-file key ``name``."""
 
     name: str
-    type: object                 # float, int, str, bool or a str validator
+    type: object                 # int, str, bool or a str validator
     default: object
     help: str
     commands: tuple
@@ -100,24 +109,24 @@ OPTIONS = {o.name: o for o in (
            required=_ALL, record="never"),
     Option("data", str, None, "directory of .wscat bundles", _DATA,
            required=("features", "chambers", "report"), record="never"),
-    Option("delta", float, 0.8, "separability in [0,1]", ("synth",)),
-    Option("session_len", float, 60.0, "session length, s", ("synth",)),
-    Option("fs", float, 1000.0, "sampling rate, Hz", ("synth",)),
+    Option("delta", _finite, 0.8, "separability in [0,1]", ("synth",)),
+    Option("session_len", _finite, 60.0, "session length, s", ("synth",)),
+    Option("fs", _finite, 1000.0, "sampling rate, Hz", ("synth",)),
     Option("rats_saline", int, 7, "saline cohort size", ("synth",)),
     Option("rats_morphine", int, 6, "morphine cohort size", ("synth",)),
     Option("rats_food", int, 6, "food cohort size", ("synth",)),
     Option("channel", str, "hip", "channel for kind=cwt", ("features",),
            choices=("hip", "nac")),
-    Option("window", float, 1.0, "segment length, s", _WINDOW),
-    Option("hop", float, 0.5, "segment hop, s", _WINDOW),
-    Option("fmin", float, 1.0, "lowest center frequency, Hz", _BANK),
-    Option("fmax", float, 100.0, "highest center frequency, Hz", _MORSE),
+    Option("window", _finite, 1.0, "segment length, s", _WINDOW),
+    Option("hop", _finite, 0.5, "segment hop, s", _WINDOW),
+    Option("fmin", _finite, 1.0, "lowest center frequency, Hz", _BANK),
+    Option("fmax", _finite, 100.0, "highest center frequency, Hz", _MORSE),
     Option("voices", int, 10, "voices per octave", _BANK),
-    Option("gamma", float, 3.0, "Morse symmetry", _MORSE),
-    Option("tb", float, 60.0, "Morse time-bandwidth product", _BANK),
-    Option("c_t", float, 2.0, "time smoothing, cycles", _BANK),
-    Option("c_s", float, 0.6, "scale smoothing, octaves", _BANK),
-    Option("t", float, 0.5, "scattering invariance, s", _SCATTER),
+    Option("gamma", _finite, 3.0, "Morse symmetry", _MORSE),
+    Option("tb", _finite, 60.0, "Morse time-bandwidth product", _BANK),
+    Option("c_t", _finite, 2.0, "time smoothing, cycles", _BANK),
+    Option("c_s", _finite, 0.6, "scale smoothing, octaves", _BANK),
+    Option("t", _finite, 0.5, "scattering invariance, s", _SCATTER),
     Option("q1", int, 8, "layer-1 voices per octave", _SCATTER),
     Option("q2", int, 1, "layer-2 voices per octave", _SCATTER),
     Option("model", str, "dt", "classifier", ("chambers",),
@@ -137,19 +146,19 @@ OPTIONS = {o.name: o for o in (
     Option("hidden", _sizes, "64", "MLP hidden sizes, comma separated",
            ("chambers",)),
     Option("epochs", int, 300, "MLP epochs", ("chambers",)),
-    Option("learning_rate", float, 0.1, "MLP learning rate", ("chambers",)),
+    Option("learning_rate", _finite, 0.1, "MLP learning rate", ("chambers",)),
     Option("shuffle_labels", bool, False,
            "seeded label permutation (chance-level control)", ("joint",),
            record="set"),
     Option("stats_from", str, None,
            "skip the pipeline; recompute stats from a counts CSV",
            ("joint",), record="never"),
-    Option("c", float, 1.0, "SVM penalty C", ("joint",)),
-    Option("tol", float, 1e-3, "SVM duality-gap tolerance", ("joint",)),
+    Option("c", _finite, 1.0, "SVM penalty C", ("joint",)),
+    Option("tol", _finite, 1e-3, "SVM duality-gap tolerance", ("joint",)),
     Option("max_iter", int, 300, "SVM epoch limit", ("joint",)),
     Option("rat", str, None, "rat id, e.g. rat14; unset takes the first "
            "in sort order", ("report",), record="never"),
-    Option("threshold", float, 0.5,
+    Option("threshold", _finite, 0.5,
            "coherence threshold for the phase overlay", ("report",)),
 )}
 
@@ -412,8 +421,7 @@ def cmd_report(cfg: Config):
     if not sessions:
         raise DataError("no session matches the rat/phase selection")
     session = sessions[0]
-    bank = _bank_config(cfg).bank(next_pow2(session.hip.samples.size),
-                                  session.fs)
+    bank = _bank_config(cfg).bank(session.hip.samples.size, session.fs)
     out_dir = cfg.get("out")
     os.makedirs(out_dir, exist_ok=True)
     stem = f"{session.rat_id}_{session.phase.value}"

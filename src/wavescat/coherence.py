@@ -27,32 +27,15 @@ EPS_DEN_REL = 1e-12
 
 @dataclass(frozen=True)
 class SmoothingSpec:
-    """Boxcar widths: ~``c_t`` cycles along time, ``c_s`` octave across scale.
-
-    ``fixed(..)`` pins both widths directly (used by oracle tests).
-    """
+    """Boxcar widths: ~``c_t`` cycles along time, ``c_s`` octave across scale."""
 
     c_t: float = 2.0
     c_s: float = 0.6
-    fixed_time_width: int | None = None
-    fixed_scale_width: int | None = None
-
-    @classmethod
-    def fixed(cls, time_width: int, scale_width: int) -> "SmoothingSpec":
-        return cls(fixed_time_width=int(time_width),
-                   fixed_scale_width=int(scale_width))
 
     def widths(self, scale_axis, fs, voices_per_octave):
-        if self.fixed_time_width is not None:
-            tw = np.full(len(scale_axis), max(1, self.fixed_time_width),
-                         dtype=np.int64)
-        else:
-            tw = np.maximum(1, np.round(self.c_t * fs / np.asarray(scale_axis))
-                            .astype(np.int64))
-        if self.fixed_scale_width is not None:
-            sw = max(1, self.fixed_scale_width)
-        else:
-            sw = max(1, int(round(self.c_s * voices_per_octave)))
+        tw = np.maximum(1, np.round(self.c_t * fs / np.asarray(scale_axis))
+                        .astype(np.int64))
+        sw = max(1, int(round(self.c_s * voices_per_octave)))
         return tw, sw
 
 
@@ -62,7 +45,6 @@ class CoherenceMap:
     phase: np.ndarray
     scale_axis: np.ndarray
     time_axis: np.ndarray
-    fs: float
     coi: np.ndarray
 
     def valid_mask(self) -> np.ndarray:
@@ -107,6 +89,9 @@ def cross_spectrum(cx: Scalogram, cy: Scalogram,
 
 
 def coherence(cx: Scalogram, cy: Scalogram, spec: SmoothingSpec) -> CoherenceMap:
+    """Smoothed coherence and phase of two scalograms on the same axes.
+    The time boxcar, round(c_t * fs / f) samples at center frequency f,
+    wraps around the signal's period, so it may be wider than the signal."""
     tw, sw = _widths(cx, cy, spec)
     if int(tw.max()) <= 1 and sw <= 1:
         raise DataError("identity smoothing makes coherence trivially 1; "
@@ -129,7 +114,6 @@ def coherence(cx: Scalogram, cy: Scalogram, spec: SmoothingSpec) -> CoherenceMap
         phase=phase,
         scale_axis=cx.scale_axis.copy(),
         time_axis=cx.time_axis.copy(),
-        fs=cx.fs,
         coi=np.maximum(cx.coi, cy.coi),
     )
 

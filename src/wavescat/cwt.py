@@ -37,10 +37,6 @@ class Scalogram:
     fs: float
     coi: np.ndarray
 
-    @property
-    def n_scales(self) -> int:
-        return self.coefficients.shape[0]
-
     def valid_mask(self) -> np.ndarray:
         """Boolean (scales x time) mask of COI-reliable cells."""
         return self.scale_axis[:, None] >= self.coi[None, :]

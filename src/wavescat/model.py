@@ -294,7 +294,7 @@ def chamber_windows(session: RecordingSession, window_len: float,
     samples span a chamber transition (or precede the first track fix)
     is discarded.
     """
-    if window_len <= 0 or hop <= 0:
+    if not (window_len > 0 and hop > 0):
         raise DataError("window_len and hop must be positive")
     fs = session.fs
     win = int(round(window_len * fs))
@@ -317,12 +317,14 @@ def chamber_windows(session: RecordingSession, window_len: float,
 def segment_by_chamber(session: RecordingSession, window_len: float,
                        hop: float) -> list[Segment]:
     """Cut both channels into the windows of ``chamber_windows``; emits
-    the HIP segment then the NAc segment per window."""
+    the HIP segment then the NAc segment per window. Each segment's
+    samples are a read-only view of the session's array, not a copy."""
     win, _, starts, codes = chamber_windows(session, window_len, hop)
     segments: list[Segment] = []
     for start, code in zip(starts.tolist(), codes.tolist()):
         for chan in (Channel.HIP, Channel.NAC):
-            data = session.channel(chan).samples[start:start + win].copy()
+            data = session.channel(chan).samples[start:start + win]
+            data.flags.writeable = False
             segments.append(Segment(data, session.group, session.phase,
                                     chan, Chamber(code), start / session.fs,
                                     session.rat_id))

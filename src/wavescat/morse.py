@@ -38,7 +38,7 @@ class MorseParams:
     time_bandwidth: float = DEFAULT_TIME_BANDWIDTH
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.time_bandwidth <= 0:
+        if not (self.gamma > 0 and self.time_bandwidth > 0):
             raise DataError("gamma and time_bandwidth must be positive")
 
 
@@ -79,7 +79,8 @@ class FilterBank:
     voices_per_octave: int
     center_frequencies: np.ndarray
     filters: np.ndarray
-    _efold_times: np.ndarray | None = field(default=None, repr=False)
+    _efold_times: np.ndarray | None = field(default=None, init=False,
+                                            repr=False)
 
     @property
     def n(self) -> int:

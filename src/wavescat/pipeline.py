@@ -47,8 +47,10 @@ class BankConfig:
     _banks: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
-    def bank(self, n: int, fs: float):
-        """The (n, fs) bank, built on its first request, then shared."""
+    def bank(self, n_samples: int, fs: float):
+        """The bank for signals of ``n_samples`` at ``fs``, padded to the
+        next power of two; built on its first request, then shared."""
+        n = next_pow2(n_samples)
         if (n, fs) not in self._banks:
             self._banks[n, fs] = build_filterbank(
                 n, fs, MorseParams(self.gamma, self.time_bandwidth),
@@ -71,9 +73,6 @@ class FeatureTable:
     columns: list[str]
     segments: list[Segment]
     channel_label: str | None = None  # overrides per-segment channel (wcoh)
-
-    def row_channel(self, seg: Segment) -> str:
-        return self.channel_label or seg.channel.display
 
 
 def _window_sums(mat, grid):
@@ -127,7 +126,7 @@ def _window_table(sessions, window_len, hop, bank_cfg, session_rows, names,
     blocks, segs = [], []
     for session in sessions:
         win, step, starts, codes = chamber_windows(session, window_len, hop)
-        bank = bank_cfg.bank(next_pow2(session.hip.samples.size), session.fs)
+        bank = bank_cfg.bank(session.hip.samples.size, session.fs)
         blocks.append(session_rows(session, bank, (win, step, starts)).T)
         segs += [Segment(np.empty(0), session.group, session.phase, channel,
                          Chamber(code), start / session.fs, session.rat_id)
@@ -170,7 +169,8 @@ def scatter_table(sessions, window_len: float, hop: float,
 def table_to_csv(table: FeatureTable, path, config_line: str = "") -> None:
     """Feature columns then the group,phase,channel,chamber label cells."""
     rows = (row.tolist() + [seg.group.value, seg.phase.value,
-                            table.row_channel(seg), seg.chamber.display]
+                            table.channel_label or seg.channel.display,
+                            seg.chamber.display]
             for row, seg in zip(table.matrix, table.segments))
     write_csv(path, table.columns + ["group", "phase", "channel", "chamber"],
               rows, config_line)

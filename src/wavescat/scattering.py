@@ -54,7 +54,7 @@ class ScatteringParams:
     gamma: float = 3.0
 
     def __post_init__(self):
-        if self.t <= 0:
+        if not self.t > 0:
             raise DataError("invariance scale T must be positive")
         if not (self.q1 >= self.q2 >= 1):
             raise DataError("need Q1 >= Q2 >= 1")
@@ -106,12 +106,10 @@ class _Engine:
     n itself, where the layer is the full-resolution transform.
     """
 
-    def __init__(self, params: ScatteringParams, n_sig: int):
-        if n_sig < params.t * params.fs:
+    def __init__(self, params: ScatteringParams, n: int):
+        if n < params.t * params.fs:
             raise DataError("segment shorter than the invariance scale T")
-        self.params = params
-        self.n_sig = n_sig
-        self.n = n = n_sig
+        self.n = n
         fs = params.fs
         self.bank1 = build_filterbank(
             self.n, fs, MorseParams(params.gamma, _tb_for_q(params.q1, params.gamma)),
@@ -132,8 +130,8 @@ class _Engine:
         k = np.arange(self.n)
         omega = 2.0 * np.pi * np.minimum(k, self.n - k) / self.n
         self.phi_hat = np.exp(-0.5 * (omega * sigma_samples) ** 2)
-        guard = min(int(round(params.t * fs / 2.0)), (n_sig - 1) // 2)
-        self.valid = slice(guard, n_sig - guard)
+        guard = min(int(round(params.t * fs / 2.0)), (n - 1) // 2)
+        self.valid = slice(guard, n - guard)
         # Averaging a smoothed trajectory over the valid window is one
         # fixed weighted sum: w[tau] = mean over valid t of phi[t - tau].
         # w is a low-pass, so its few bins above rounding give it on any

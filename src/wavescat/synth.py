@@ -85,9 +85,9 @@ class SynthSpec:
     def __post_init__(self):
         if not (0.0 <= self.delta <= 1.0):
             raise DataError("delta must lie in [0, 1]")
-        if self.session_len < 10.0:
+        if not self.session_len >= 10.0:
             raise DataError("session_len must be at least 10 s")
-        if self.fs < 200.0:
+        if not self.fs >= 200.0:
             raise DataError("fs must be at least 200 Hz")
 
     def rats(self):

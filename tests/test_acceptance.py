@@ -131,7 +131,7 @@ def test_criterion_3_coherence_properties():
     for seed in range(1000):
         r = np.random.default_rng(seed)
         a, b = random_scalogram(r), random_scalogram(r)
-        m = coherence(a, b, SmoothingSpec.fixed(7, 3)).coherence
+        m = coherence(a, b, SmoothingSpec(c_t=0.7, c_s=0.75)).coherence
         lo, hi = min(lo, float(m.min())), max(hi, float(m.max()))
     checks["bounds_1000_fuzz"] = lo >= 0.0 and hi <= 1.0 + 1e-12
 
@@ -153,7 +153,7 @@ def test_criterion_3_coherence_properties():
     checks["quarter_cycle_20_seeds"] = ok_phase
 
     means = []
-    spec = SmoothingSpec.fixed(11, 5)
+    spec = SmoothingSpec(c_t=1.1, c_s=0.83)
     small = build_filterbank(1024, FS, MorseParams(), 6, 4.0, 100.0)
     for seed in range(100):
         r = np.random.default_rng(1000 + seed)

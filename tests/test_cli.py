@@ -416,6 +416,17 @@ def test_window_longer_than_session_is_a_data_error(tmp_path,
      "model=svm: not one of dt, mlp"),
     (["chambers", "--seed", "1", "--data", "d"], "per-rat=maybe\n",
      "per_rat=maybe"),
+    (["synth", "--seed", "1"], "session-len=nan\n",
+     "session_len=nan: not a finite number"),
+    (["synth", "--seed", "1"], "fs=inf\n", "fs=inf: not a finite number"),
+    (["features", "cwt", "--data", "d"], "window=nan\n",
+     "window=nan: not a finite number"),
+    (["features", "cwt", "--data", "d"], "hop=-inf\n",
+     "hop=-inf: not a finite number"),
+    (["features", "wcoh", "--data", "d"], "c-s=NaN\n",
+     "c_s=NaN: not a finite number"),
+    (["joint", "--seed", "1", "--data", "d"], "c=nan\n",
+     "c=nan: not a finite number"),
 ])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, text,
                                             message):
@@ -428,6 +439,43 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, text,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["synth", "--seed", "1", "--session-len", "nan"], "--session-len"),
+    (["synth", "--seed", "1", "--fs", "inf"], "--fs"),
+    (["features", "cwt", "--data", "d", "--window", "nan"], "--window"),
+    (["features", "cwt", "--data", "d", "--hop", "inf"], "--hop"),
+    (["features", "wcoh", "--data", "d", "--c-s", "nan"], "--c-s"),
+    (["joint", "--seed", "1", "--data", "d", "--c", "nan"], "--c"),
+    (["report", "--data", "d", "--c-t=-inf"], "--c-t"),
+])
+def test_non_finite_flags_exit_2_naming_the_option(tmp_path, capsys, argv,
+                                                   flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_time_smoothing_wider_than_the_signal(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    rng = np.random.default_rng(1)
+    session = make_session(rng.standard_normal(4000),
+                           rng.standard_normal(4000))
+    save_session(session, data / "rat1_food_post.wscat")
+    # 100 cycles at 1 Hz span 100 000 samples, 25 times the signal
+    for argv in (["report"], ["features", "wcoh"]):
+        out = tmp_path / argv[-1]
+        assert main(argv + ["--data", str(data), "--out", str(out),
+                            "--c-t", "100"]) == 0
+    lines = (tmp_path / "report" / "rat1_post_wcoh.csv").read_text()
+    coh = np.array([row.split(",")[1:] for row in lines.splitlines()[2:]],
+                   dtype=float)
+    assert np.all((coh >= 0.0) & (coh <= 1.0))
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -30,14 +30,14 @@ def random_pair(seed, shape=(12, 128)):
 
 def test_self_cross_spectrum_real_nonnegative():
     cx, _ = random_pair(0)
-    s = cross_spectrum(cx, cx, SmoothingSpec.fixed(5, 3))
+    s = cross_spectrum(cx, cx, SmoothingSpec(c_t=0.5, c_s=0.75))
     assert np.abs(s.imag).max() < 1e-12
     assert s.real.min() > -1e-12
 
 
 def test_identity_smoothing_is_elementwise_product():
     cx, cy = random_pair(1)
-    s = cross_spectrum(cx, cy, SmoothingSpec.fixed(1, 1))
+    s = cross_spectrum(cx, cy, SmoothingSpec(c_t=0.0, c_s=0.0))
     a, b = cx.coefficients, cy.coefficients
     expected = (a.real * b.real + a.imag * b.imag
                 + 1j * (a.real * b.imag - a.imag * b.real))
@@ -47,9 +47,10 @@ def test_identity_smoothing_is_elementwise_product():
 
 def test_cross_spectrum_matches_brute_force():
     cx, cy = random_pair(2, shape=(9, 40))
-    s = cross_spectrum(cx, cy, SmoothingSpec.fixed(5, 3))
+    spec = SmoothingSpec(c_t=0.5, c_s=0.75)   # widths 5..20 and 3
+    s = cross_spectrum(cx, cy, spec)
     raw = np.conj(cx.coefficients) * cy.coefficients
-    expected = brute_force_smooth(raw, [5] * 9, 3)
+    expected = brute_force_smooth(raw, *spec.widths(cx.scale_axis, FS, 4))
     assert np.abs(s - expected).max() < 1e-12
 
 
@@ -74,20 +75,20 @@ def test_self_coherence_is_one():
 def test_identity_smoothing_rejected():
     cx, cy = random_pair(4)
     with pytest.raises(DataError, match="identity smoothing"):
-        coherence(cx, cy, SmoothingSpec.fixed(1, 1))
+        coherence(cx, cy, SmoothingSpec(c_t=0.0, c_s=0.0))
 
 
 def test_bounds_under_fuzz():
     for seed in range(200):
         cx, cy = random_pair(seed, shape=(8, 64))
-        cmap = coherence(cx, cy, SmoothingSpec.fixed(7, 3))
+        cmap = coherence(cx, cy, SmoothingSpec(c_t=0.7, c_s=0.75))
         assert cmap.coherence.min() >= 0.0
         assert cmap.coherence.max() <= 1.0 + 1e-12
 
 
 def test_symmetry_and_antisymmetric_phase():
     cx, cy = random_pair(11)
-    spec = SmoothingSpec.fixed(9, 3)
+    spec = SmoothingSpec(c_t=0.9, c_s=0.75)
     ab = coherence(cx, cy, spec)
     ba = coherence(cy, cx, spec)
     assert np.array_equal(ab.coherence, ba.coherence)
@@ -98,7 +99,7 @@ def test_symmetry_and_antisymmetric_phase():
 
 def test_amplitude_scale_invariance():
     cx, cy = random_pair(12)
-    spec = SmoothingSpec.fixed(9, 3)
+    spec = SmoothingSpec(c_t=0.9, c_s=0.75)
     base = coherence(cx, cy, spec).coherence
     scaled_cy = make_scalogram(cy.coefficients * 37.5)
     scaled = coherence(cx, scaled_cy, spec).coherence
@@ -132,7 +133,7 @@ def test_quarter_cycle_delay_phase():
 def test_independent_noise_low_coherence():
     n = 1024
     bank = build_filterbank(n, FS, MorseParams(), 6, 4.0, 100.0)
-    spec = SmoothingSpec.fixed(11, 5)
+    spec = SmoothingSpec(c_t=1.1, c_s=0.83)
     values = []
     for seed in range(10):
         rng = np.random.default_rng(seed)
@@ -147,7 +148,8 @@ def test_independent_noise_low_coherence():
 def test_phase_overlay_thresholds():
     cx, noise = random_pair(20, shape=(40, 300))
     cy = make_scalogram(cx.coefficients + noise.coefficients)
-    cmap = coherence(cx, cy, SmoothingSpec.fixed(5, 3))
+    # time widths 1..258 on 300 samples, scale width 3
+    cmap = coherence(cx, cy, SmoothingSpec(c_t=0.03, c_s=0.75))
     cmap.phase[::7, ::5] = np.nan   # hits kept cells: rows 0, 14, 28
     assert phase_overlay(cmap, 1.0) == []  # nothing exceeds 1.0
     records = phase_overlay(cmap, 0.5)
@@ -183,4 +185,4 @@ def test_axis_mismatch_rejected():
     cx, _ = random_pair(30, shape=(8, 64))
     cy, _ = random_pair(31, shape=(8, 32))
     with pytest.raises(DataError):
-        cross_spectrum(cx, cy, SmoothingSpec.fixed(3, 1))
+        cross_spectrum(cx, cy, SmoothingSpec(c_t=0.3, c_s=0.25))

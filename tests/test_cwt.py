@@ -155,5 +155,5 @@ def test_scalogram_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# wavescat-config:")
     assert lines[1].split(",")[0] == "freq_hz"
-    assert len(lines) == 2 + s.n_scales
+    assert len(lines) == 2 + bank.n_scales
     assert float(lines[2].split(",")[0]) == 100.0

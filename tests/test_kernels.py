@@ -36,6 +36,15 @@ def test_boxcar_real_matrices_too():
     assert np.abs(got - expected).max() < 1e-12
 
 
+def test_time_boxcar_wider_than_the_row_wraps_periodically():
+    n = 16
+    widths = [n, 2 * n + 1, 2 * n + 2, 5 * n]
+    for mat in (random_complex(1, (4, n)), random_complex(2, (4, n)).real):
+        got = boxcar_time(mat, np.array(widths))
+        expected = brute_force_smooth(mat, widths, 1)
+        assert np.abs(got - expected).max() < 1e-12
+
+
 def test_split_respects_min_leaf():
     x = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
     classes = np.array([0, 0, 0, 1, 1, 1])

@@ -91,8 +91,9 @@ def test_validation_errors():
     data = two_point_classes()
     with pytest.raises(DataError):
         train_mlp(data, epochs=0)
-    with pytest.raises(DataError):
-        train_mlp(data, learning_rate=0.0)
+    for rate in (0.0, np.nan):
+        with pytest.raises(DataError, match="learning_rate"):
+            train_mlp(data, learning_rate=rate)
     for hidden in ((0,), (-5,), (4, 0)):
         with pytest.raises(DataError, match="hidden sizes"):
             train_mlp(data, hidden=hidden)

@@ -163,6 +163,20 @@ def test_single_chamber_window_count(single_chamber_session):
     assert all(s.samples.size == 1000 for s in segments)
 
 
+def test_segments_are_read_only_views_of_the_session(single_chamber_session):
+    session = single_chamber_session
+    segments = segment_by_chamber(session, 1.0, 0.5)
+    for seg in segments:
+        samples = session.channel(seg.channel).samples
+        start = int(round(seg.start_time * session.fs))
+        assert np.shares_memory(seg.samples, samples)
+        assert not seg.samples.flags.writeable
+        assert np.array_equal(seg.samples, samples[start:start + 1000])
+    with pytest.raises(ValueError, match="read-only"):
+        segments[0].samples[0] = 0.0
+    assert session.hip.samples.flags.writeable
+
+
 def test_transition_windows_dropped_against_bruteforce():
     track = [(0.0, Chamber.REWARDED.value), (5.0, Chamber.NULL.value)]
     session = make_session(np.zeros(10_000), np.zeros(10_000), track=track)
@@ -210,8 +224,9 @@ def test_segmentation_exhaustive_and_exclusive(n_changes, seed):
 
 
 def test_segmentation_errors(single_chamber_session):
-    with pytest.raises(DataError):
-        segment_by_chamber(single_chamber_session, 0.0, 0.5)
+    for window_len, hop in ((0.0, 0.5), (np.nan, 0.5), (1.0, np.nan)):
+        with pytest.raises(DataError, match="must be positive"):
+            segment_by_chamber(single_chamber_session, window_len, hop)
     with pytest.raises(DataError, match="two samples"):
         segment_by_chamber(single_chamber_session, 0.001, 0.5)
     with pytest.raises(DataError, match="longer than the session"):

@@ -54,6 +54,10 @@ def test_invalid_params_rejected():
         MorseParams(0.0, 10.0)
     with pytest.raises(DataError):
         MorseParams(3.0, -1.0)
+    with pytest.raises(DataError):
+        MorseParams(np.nan, 10.0)
+    with pytest.raises(DataError):
+        MorseParams(3.0, np.nan)
 
 
 def test_octave_center_frequencies():

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from wavescat import pipeline
 from wavescat.coherence import SmoothingSpec
-from wavescat.cwt import next_pow2
 from wavescat.model import Chamber, Channel, chamber_windows
 from wavescat.pipeline import BankConfig, cwt_table, wcoh_table
 
@@ -33,6 +32,9 @@ def test_equal_length_sessions_share_one_filter_bank(monkeypatch):
     cwt_table(sessions, Channel.HIP, 1.0, 1.0, bank_cfg)
     cwt_table(sessions, Channel.NAC, 1.0, 1.0, bank_cfg)
     wcoh_table(sessions, 1.0, 1.0, bank_cfg, SmoothingSpec())
+    assert builds == [(2048, 250.0)]
+    # the cache key is the padded length, so any length up to 2048 hits it
+    assert bank_cfg.bank(1025, 250.0) is bank_cfg.bank(2048, 250.0)
     assert builds == [(2048, 250.0)]
 
 
@@ -77,7 +79,7 @@ def _assert_rows_equal(table, rows):
 @settings(max_examples=40, deadline=None)
 def test_cwt_table_equals_per_window_oracle(drawn):
     session, window_len, hop = drawn
-    bank = BANK.bank(next_pow2(session.hip.samples.size), session.fs)
+    bank = BANK.bank(session.hip.samples.size, session.fs)
     rows, fallback = cwt_rows_by_window(session, Channel.NAC, window_len,
                                         hop, bank)
     if not rows:
@@ -91,7 +93,7 @@ def test_cwt_table_equals_per_window_oracle(drawn):
 @settings(max_examples=40, deadline=None)
 def test_wcoh_table_equals_per_window_oracle(drawn):
     session, window_len, hop = drawn
-    bank = BANK.bank(next_pow2(session.hip.samples.size), session.fs)
+    bank = BANK.bank(session.hip.samples.size, session.fs)
     rows, fallback = wcoh_rows_by_window(session, window_len, hop, bank,
                                          SmoothingSpec())
     if not rows:

@@ -182,8 +182,9 @@ def test_segment_shorter_than_t_rejected():
 
 
 def test_params_validation():
-    with pytest.raises(DataError):
-        ScatteringParams(t=-1.0)
+    for t in (-1.0, np.nan):
+        with pytest.raises(DataError, match="invariance scale"):
+            ScatteringParams(t=t)
     with pytest.raises(DataError):
         ScatteringParams(q1=1, q2=4)
 

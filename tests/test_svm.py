@@ -127,8 +127,9 @@ def test_nonconvergence_flagged_not_raised():
 
 def test_validation():
     data = Dataset(np.zeros((4, 2)), np.array([0, 0, 1, 1]), ["a", "b"])
-    with pytest.raises(DataError):
-        train_svm_ova(data, c=-1.0)
+    for c in (-1.0, np.nan):
+        with pytest.raises(DataError, match="C must be positive"):
+            train_svm_ova(data, c=c)
     for max_iter in (0, -1):
         with pytest.raises(DataError, match="max_iter"):
             train_svm_ova(data, max_iter=max_iter)

@@ -12,10 +12,12 @@ from wavescat.synth import SynthSpec, generate_cohort, generate_session
 def test_spec_validation():
     with pytest.raises(DataError):
         SynthSpec(delta=1.5)
-    with pytest.raises(DataError):
-        SynthSpec(session_len=5.0)
-    with pytest.raises(DataError):
-        SynthSpec(fs=100.0)
+    for session_len in (5.0, np.nan):
+        with pytest.raises(DataError, match="session_len"):
+            SynthSpec(session_len=session_len)
+    for fs in (100.0, np.nan):
+        with pytest.raises(DataError, match="fs must be"):
+            SynthSpec(fs=fs)
 
 
 def test_cohort_layout_and_naming(tmp_path):

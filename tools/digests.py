@@ -57,6 +57,8 @@ RUNS = [
     (None, "joint --seed 1 --stats-from {work}/run10/joint_confusion.csv"),
     ("B", "features scatter"),
     ("A", "features scatter --window 0.7 --q1 4 --t 0.25"),
+    ("A", "features wcoh --c-t 1.5 --c-s 0.8"),
+    ("A", "report --c-t 1.5 --c-s 0.8 --threshold 0.3"),
 ]
 
 TOKEN = "<RUN>"
