@@ -30,8 +30,9 @@ def boxcar_scale(mat, width):
     m = mat.shape[0]
     lo = (w - 1) // 2
     hi = w // 2
-    csum = np.concatenate([np.zeros((1,) + mat.shape[1:], mat.dtype),
-                           np.cumsum(mat, axis=0)])
+    csum = np.empty((m + 1,) + mat.shape[1:], mat.dtype)
+    csum[0] = 0
+    np.cumsum(mat, axis=0, out=csum[1:])
     out = np.empty_like(mat)
     for j in range(m):
         a = max(0, j - lo)

@@ -50,20 +50,26 @@ class UsageError(Exception):
     """A usage or configuration mistake: exit 2 with a one-line message."""
 
 
+# The casters raise ArgumentTypeError, whose message argparse prints as
+# is, so a flag and a config-file value get the same error text.
+
 def _boolean(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {text!r}")
+    raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
 
 
 def _finite(text: str) -> float:
     """A float option's value; NaN and infinities are refused."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
 
 
@@ -71,7 +77,11 @@ def _sizes(text: str) -> str:
     """Comma-separated layer sizes, checked but kept as the text that
     the config line records."""
     for size in filter(None, text.split(",")):
-        int(size)
+        try:
+            int(size)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not comma-separated integers: {text!r}") from None
     return text
 
 
@@ -177,7 +187,7 @@ class Config:
                 continue                # another command's key
             try:
                 value = opt.cast(text)
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise UsageError(f"{where}: {key}={text}: {exc}") from None
             choices = opt.choices_for(self.command)
             if choices and value not in choices:
@@ -319,7 +329,6 @@ def _chambers_fit(cfg: Config):
 
 
 def cmd_chambers(cfg: Config):
-    sessions = load_sessions(_bundle_paths(cfg.get("data")))
     window, hop = cfg.get("window"), cfg.get("hop")
     bank_cfg = _bank_config(cfg)
     seed, k = cfg.get("seed"), cfg.get("k")
@@ -334,6 +343,11 @@ def cmd_chambers(cfg: Config):
               if group_tok == "all" else [Group(group_tok)])
     per_rat = cfg.get("per_rat")
     out_dir = cfg.get("out")
+    # only the sessions that give rows are transformed
+    sessions = [s for s in load_sessions(_bundle_paths(cfg.get("data")))
+                if s.phase in phases and s.group in groups]
+    if not sessions:
+        raise DataError(f"no segments for group {groups[0].value}")
 
     os.makedirs(out_dir, exist_ok=True)
     accuracy = {}

@@ -5,7 +5,8 @@ correlation of the signal with the conjugate dilated analytic wavelet.
 Boundary handling is the DFT's periodic extension plus a cone of
 influence derived from each voice's envelope e-folding time. Signals
 shorter than the bank length are zero-padded internally and the output
-is truncated back, so the pad never appears in the scalogram.
+is truncated back, so the pad never appears in the scalogram; the
+coefficients are then a compact copy, so the padded transform is freed.
 """
 
 from __future__ import annotations
@@ -81,7 +82,9 @@ def cwt(x: TimeSeries | np.ndarray, bank: FilterBank) -> Scalogram:
     else:
         padded = data
     spectrum = np.fft.fft(padded)
-    coeff = np.fft.ifft(spectrum[None, :] * bank.filters, axis=1)[:, :n_sig]
+    coeff = np.fft.ifft(spectrum[None, :] * bank.filters, axis=1)
+    if n_sig < bank.n:
+        coeff = coeff[:, :n_sig].copy()   # frees the padded transform
     return Scalogram(
         coefficients=coeff,
         scale_axis=bank.center_frequencies.copy(),

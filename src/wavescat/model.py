@@ -17,6 +17,7 @@ A session bundle is a single binary file:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,8 +72,8 @@ class TimeSeries:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.fs <= 0:
-            raise DataError(f"fs must be positive, got {self.fs}")
+        if not (self.fs > 0 and math.isfinite(self.fs)):
+            raise DataError(f"fs must be positive and finite, got {self.fs}")
         if self.samples.ndim != 1 or self.samples.size < 1:
             raise DataError("samples must be a non-empty 1-D array")
         if not np.all(np.isfinite(self.samples)):
@@ -226,9 +227,13 @@ def load_session(path) -> RecordingSession:
     fs = _num("fs", float)
     nsamples = _num("nsamples", int)
     ntrack = _num("ntrack", int)
-    if fs <= 0 or nsamples < 1 or ntrack < 1:
-        raise BundleFormatError("fs, nsamples and ntrack must be positive",
+    if not (fs > 0 and math.isfinite(fs)):
+        raise BundleFormatError(f"fs must be positive and finite, got {fs}",
                                 line=fields["fs"][1])
+    for key, count in (("nsamples", nsamples), ("ntrack", ntrack)):
+        if count < 1:
+            raise BundleFormatError(f"{key} must be positive, got {count}",
+                                    line=fields[key][1])
     group_tok, group_line = fields["group"]
     phase_tok, phase_line = fields["phase"]
     try:

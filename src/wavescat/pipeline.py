@@ -1,13 +1,15 @@
 """Session-to-dataset plumbing shared by the CLI workflows.
 
 CWT and coherence features come from *session-level* transforms, one
-pass per session: each channel is transformed once, then every kept
-window on the hop grid is summarized per scale at once, and the
-session's scalogram-sized arrays are freed once its rows exist. The one
-COI rule, ``_coi_mean``, averages a window's cells inside the cone of
-influence (Torrence & Compo 1998) or, for a scale with none, the whole
-window, so every window yields a complete row (the contamination is
-identical across equal-length sessions and adds no label information).
+pass per session: each channel is transformed once into a compact
+scalogram (``cwt`` frees the padded transform behind it), the kept
+windows on the hop grid, and only those, are summarized per scale at
+once, and the session's scalogram-sized arrays are freed once its rows
+exist. The one COI rule, ``_coi_mean``, averages a window's cells inside
+the cone of influence (Torrence & Compo 1998) or, for a scale with none,
+the whole window, so every window yields a complete row (the
+contamination is identical across equal-length sessions and adds no
+label information).
 Scattering features are computed per segment, matching
 ``scattering.scatter`` bit for bit.
 """
@@ -77,10 +79,20 @@ class FeatureTable:
 
 def _window_sums(mat, grid):
     """(rows x kept windows) sums of ``mat``, each window one pairwise sum
-    over a contiguous row slice; ``grid`` is (win, step, starts)."""
+    over a contiguous row slice; ``grid`` is (win, step, starts). Each run
+    of consecutive kept windows is one strided slice of the window view,
+    summed into its columns of the result, so dropped windows are never
+    summed and no window is copied."""
     win, step, starts = grid
-    sums = sliding_window_view(mat, win, axis=1)[:, ::step].sum(axis=2)
-    return sums[:, starts // step]
+    view = sliding_window_view(mat, win, axis=1)
+    sums = np.empty((mat.shape[0], starts.size),
+                    np.int64 if mat.dtype == bool else mat.dtype)
+    ends = [*(np.flatnonzero(np.diff(starts) != step) + 1), starts.size]
+    for a, b in zip([0, *ends[:-1]], ends):
+        if b > a:
+            view[:, starts[a]:starts[b - 1] + 1:step].sum(axis=2,
+                                                          out=sums[:, a:b])
+    return sums
 
 
 def _coi_mean(mat, valid, grid):

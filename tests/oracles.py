@@ -2,17 +2,18 @@
 
 Nothing here reuses the library's transform paths: peaks come from a
 bracketing search plus parabolic refinement, the reference CWT is a
-direct O(N^2) DFT evaluation, smoothing is a literal double loop and
-the CART split scan sorts and scores one feature column at a time, the
-phase overlay tests one grid cell at a time, a bundle's track records
-are checked and a track held one record at a time, whole groups are
-dealt into folds by a name-to-fold map, the SVM solver computes
-``X @ w`` twice per epoch and the sigmoid splits its input by boolean
-masks. Two references are exceptions. The window reductions run the
-library's CWT and coherence, then test each hop-grid start and reduce
-each window on its own, one Python iteration per window. The
-scattering reference builds the library's filter banks, then
-transforms every layer at the full segment length.
+direct O(N^2) DFT evaluation, smoothing is a literal double loop (the
+scale boxcar also has the former kernel, which concatenates a zero row
+to a separate cumulative sum), the CART split scan sorts and scores one
+feature column at a time, the phase overlay tests one grid cell at a
+time, a bundle's track records are checked and a track held one record
+at a time, whole groups are dealt into folds by a name-to-fold map, the
+SVM solver computes ``X @ w`` twice per epoch and the sigmoid splits its
+input by boolean masks. Two references are exceptions. The window
+reductions run the library's CWT and coherence, then test each hop-grid
+start and reduce each window on its own, one Python iteration per
+window. The scattering reference builds the library's filter banks,
+then transforms every layer at the full segment length.
 """
 
 import numpy as np
@@ -110,6 +111,24 @@ def brute_force_smooth(mat, time_widths, scale_width):
             for kk in range(a, b):
                 acc += stage1[kk, t]
             out[j, t] = acc / (b - a)
+    return out
+
+
+def boxcar_scale_concatenated(mat, width):
+    """Truncated moving average across rows, edge-renormalized."""
+    w = int(width)
+    if w <= 1:
+        return mat.copy()
+    m = mat.shape[0]
+    lo = (w - 1) // 2
+    hi = w // 2
+    csum = np.concatenate([np.zeros((1,) + mat.shape[1:], mat.dtype),
+                           np.cumsum(mat, axis=0)])
+    out = np.empty_like(mat)
+    for j in range(m):
+        a = max(0, j - lo)
+        b = min(m, j + hi + 1)
+        out[j] = (csum[b] - csum[a]) / (b - a)
     return out
 
 

@@ -9,11 +9,13 @@ import pytest
 
 from wavescat.classify import (ConfusionMatrix, confusion_to_csv, train_mlp,
                                train_svm_ova, train_tree)
-from wavescat import cli
+from wavescat import cli, pipeline
 from wavescat.cli import OPTIONS, Config, build_parser, main
 from wavescat.coherence import SmoothingSpec
-from wavescat.model import Chamber, Channel, load_session, save_session
-from wavescat.pipeline import BankConfig, load_sessions
+from wavescat.model import (Chamber, Channel, Group, Phase, load_session,
+                            save_session)
+from wavescat.pipeline import (BankConfig, chamber_dataset, cwt_table,
+                               load_sessions, wcoh_table)
 from wavescat.scattering import ScatteringParams, scatter
 from wavescat.synth import SynthSpec
 
@@ -456,8 +458,39 @@ def test_non_finite_flags_exit_2_naming_the_option(tmp_path, capsys, argv,
         main(argv + ["--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {flag}: invalid" in err and "Traceback" not in err
+    value = argv[-1].rpartition("=")[2]
+    # the caster's own message, as a config file would report it
+    assert f"argument {flag}: not a finite number: {value!r}" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_malformed_sizes_flag_gives_the_caster_message(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["chambers", "--seed", "1", "--data", "d", "--hidden", "x",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --hidden: not comma-separated integers: 'x'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rate", [b"nan", b"inf"])
+def test_non_finite_bundle_rate_exits_3_naming_it(tmp_path, capsys, rate):
+    data = tmp_path / "data"
+    data.mkdir()
+    path = data / "rat1_food_post.wscat"
+    save_session(make_session(np.ones(2000), np.ones(2000)), path)
+    blob = path.read_bytes()
+    assert b"\nfs=1000\n" in blob
+    path.write_bytes(blob.replace(b"\nfs=1000\n", b"\nfs=" + rate + b"\n", 1))
+    assert main(["features", "cwt", "--data", str(data),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    # line 2 is the fs header line, after the magic
+    assert len(err) == 1
+    assert f"fs must be positive and finite, got {rate.decode()} (line 2)" \
+        in err[0]
 
 
 def test_time_smoothing_wider_than_the_signal(tmp_path):
@@ -606,3 +639,82 @@ def test_synth_help_shows_the_defaults_used(tmp_path, monkeypatch):
                           "rats_morphine", "rats_food"}
     for key, value in shown.items():
         assert str(getattr(specs[0], key)) == value, key
+
+
+@pytest.fixture(scope="module")
+def every_session_cohort(tmp_path_factory):
+    # with one 60 s rat per group, every session of this seed, pre and
+    # post, visits all three chambers
+    out = tmp_path_factory.mktemp("every_session")
+    assert main(["synth", "--out", str(out), "--seed", "16",
+                 "--session-len", "60", "--fs", "250", "--rats-saline", "1",
+                 "--rats-morphine", "1", "--rats-food", "1"]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def every_session_tables(every_session_cohort):
+    """Each chambers source's table over every session of the cohort."""
+    sessions = load_sessions(sorted(str(p) for p in
+                                    every_session_cohort.glob("*.wscat")))
+    bank_cfg = BankConfig()
+    return sessions, [cwt_table(sessions, Channel.HIP, 1.0, 1.0, bank_cfg),
+                      cwt_table(sessions, Channel.NAC, 1.0, 1.0, bank_cfg),
+                      wcoh_table(sessions, 1.0, 1.0, bank_cfg,
+                                 SmoothingSpec())]
+
+
+@pytest.mark.parametrize("group", ["food", "all"])
+@pytest.mark.parametrize("phase", ["pre", "post", "both"])
+def test_chambers_transforms_only_the_selected_sessions(
+        tmp_path, every_session_cohort, every_session_tables, monkeypatch,
+        phase, group):
+    transforms = []
+    original_cwt = pipeline.cwt
+    monkeypatch.setattr(pipeline, "cwt", lambda x, bank: (
+        transforms.append(x) or original_cwt(x, bank)))
+    folds = []
+    original_kfold = cli.run_kfold
+
+    def recording_kfold(data, *args, **kwargs):
+        folds.append((data, original_kfold(data, *args, **kwargs)))
+        return folds[-1][1]
+
+    monkeypatch.setattr(cli, "run_kfold", recording_kfold)
+    assert main(["chambers", "--data", str(every_session_cohort),
+                 "--out", str(tmp_path / "out"), "--seed", "1", "--k", "3",
+                 "--hop", "1.0", "--phase", phase, "--group", group]) == 0
+    phases = {"pre": (Phase.PRE,), "post": (Phase.POST,),
+              "both": (Phase.PRE, Phase.POST)}[phase]
+    groups = ([Group.FOOD, Group.MORPHINE, Group.SALINE]
+              if group == "all" else [Group.FOOD])
+    sessions, tables = every_session_tables
+    selected = [s for s in sessions if s.phase in phases and s.group in groups]
+    assert len(transforms) == 4 * len(selected)
+    # oracle: tables over every session, then filtered by chamber_dataset
+    expected = [chamber_dataset(table, g, phases)
+                for table in tables for g in groups]
+    assert len(folds) == len(expected)
+    fit = lambda data, seed: train_tree(data, 12, 1)
+    for (data, matrix), oracle in zip(folds, expected):
+        assert data.features.tobytes() == oracle.features.tobytes()
+        assert data.labels.tolist() == oracle.labels.tolist()
+        assert np.array_equal(matrix.counts,
+                              original_kfold(oracle, 3, fit, 1).counts)
+
+
+@pytest.mark.parametrize("argv, group", [
+    (["--phase", "pre", "--group", "food"], "food"),
+    (["--group", "morphine"], "morphine"),
+    (["--phase", "pre"], "food"),
+])
+def test_chambers_with_no_selected_session_exits_3(
+        tmp_path, single_chamber_session, monkeypatch, capsys, argv, group):
+    data = tmp_path / "data"
+    data.mkdir()
+    save_session(single_chamber_session, data / "rat1_food_post.wscat")
+    monkeypatch.setattr(pipeline, "cwt", None)   # nothing is transformed
+    assert main(["chambers", "--data", str(data), "--out",
+                 str(tmp_path / "out"), "--seed", "1", *argv]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"data error: no segments for group {group}"]

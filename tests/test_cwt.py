@@ -132,6 +132,17 @@ def test_shorter_signal_zero_padded_and_truncated():
     assert s.time_axis[-1] == pytest.approx(199 / FS)
 
 
+def test_padded_signal_gives_compact_coefficients():
+    bank = small_bank(n=256)
+    x = np.random.default_rng(5).standard_normal(200)
+    s = cwt(x, bank)
+    # a copy, not a view that keeps the padded transform alive
+    assert s.coefficients.base is None
+    assert s.coefficients.flags.c_contiguous
+    full = cwt(np.concatenate([x, np.zeros(56)]), bank).coefficients
+    assert s.coefficients.tobytes() == full[:, :200].tobytes()
+
+
 def test_length_and_rate_validation(single_chamber_session):
     bank = small_bank(n=256)
     with pytest.raises(DataError, match="exceeds bank length"):

@@ -11,8 +11,8 @@ from wavescat import _kernels
 from wavescat._kernels import (best_split_column, boxcar_scale, boxcar_time,
                                svm_dual_solve)
 
-from oracles import (brute_force_smooth, split_scan_by_column,
-                     svm_dual_solve_two_pass)
+from oracles import (boxcar_scale_concatenated, brute_force_smooth,
+                     split_scan_by_column, svm_dual_solve_two_pass)
 
 
 def random_complex(seed, shape=(7, 48)):
@@ -43,6 +43,16 @@ def test_time_boxcar_wider_than_the_row_wraps_periodically():
         got = boxcar_time(mat, np.array(widths))
         expected = brute_force_smooth(mat, widths, 1)
         assert np.abs(got - expected).max() < 1e-12
+
+
+def test_scale_boxcar_equals_concatenating_kernel_bitwise():
+    m = 7
+    for mat in (random_complex(3, (m, 40)), random_complex(4, (m, 40)).real):
+        for width in range(1, m + 3):
+            got = boxcar_scale(mat, width)
+            expected = boxcar_scale_concatenated(mat, width)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
 
 
 def test_split_respects_min_leaf():

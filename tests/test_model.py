@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from wavescat.errors import BundleFormatError, DataError
 from wavescat.model import (TRACK, Chamber, Channel, Group, Phase,
-                            chamber_codes, load_session, save_session,
-                            segment_by_chamber, stratified_folds)
+                            TimeSeries, chamber_codes, load_session,
+                            save_session, segment_by_chamber,
+                            stratified_folds)
 from wavescat.synth import SynthSpec, generate_session
 
 from conftest import make_session
@@ -60,6 +61,12 @@ def test_header_errors_carry_line_numbers(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(BundleFormatError, match="unknown group token"):
         load_session(path)
+
+
+def test_time_series_rate_must_be_positive_and_finite():
+    for fs in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(DataError, match="fs must be positive and finite"):
+            TimeSeries(np.ones(4), fs, Channel.HIP)
 
 
 def test_non_monotone_track_rejected(tmp_path):

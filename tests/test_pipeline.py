@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,3 +103,23 @@ def test_wcoh_table_equals_per_window_oracle(drawn):
     assert fallback > 0
     _assert_rows_equal(wcoh_table([session], window_len, hop, BANK,
                                   SmoothingSpec()), rows)
+
+
+def test_wcoh_table_peak_memory_is_bounded():
+    """Two compact scalograms, the smoothing and the window sums of one
+    session stay within 7.5 complex scalograms, which leaves no room for
+    a padded transform or a second cumulative sum in the scale boxcar."""
+    n, fs = 20_000, 250.0
+    rng = np.random.default_rng(8)
+    session = make_session(rng.standard_normal(n), rng.standard_normal(n),
+                           fs=fs, track=[(0.0, 0), (30.0, 2)])
+    bank_cfg = BankConfig()
+    bank = bank_cfg.bank(n, fs)           # built before tracing
+    scalogram_bytes = bank.n_scales * n * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        wcoh_table([session], 1.0, 0.5, bank_cfg, SmoothingSpec())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * scalogram_bytes

@@ -29,7 +29,8 @@ COHORTS = {
 }
 
 # (cohort, arguments); "{work}" is the tree's run directory, and each
-# run writes to "{work}/run<i>" in list order.
+# run writes to "{work}/run<i>" in list order. No pre session of cohort
+# A visits every chamber, so its pre-phase run checks the exit 3 path.
 RUNS = [
     ("A", "features cwt"),
     ("A", "features cwt --channel nac"),
@@ -59,6 +60,10 @@ RUNS = [
     ("A", "features scatter --window 0.7 --q1 4 --t 0.25"),
     ("A", "features wcoh --c-t 1.5 --c-s 0.8"),
     ("A", "report --c-t 1.5 --c-s 0.8 --threshold 0.3"),
+    ("A", "chambers --seed 1 --phase pre --group morphine --source all"),
+    ("B", "chambers --seed 3 --k 2 --phase both --group food --source wcoh "
+          "--per-rat"),
+    ("B", "chambers --seed 1 --phase pre --group food --source all"),
 ]
 
 TOKEN = "<RUN>"
