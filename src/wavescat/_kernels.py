@@ -96,25 +96,32 @@ def best_split_column(x, y, n_classes, min_leaf=1):
     return best
 
 
-def _svm_gap(margins, c_i, alpha, w):
+def _svm_gaps(margins, C, A, W):
+    """Each machine's relative duality gap; the per-row dot products are
+    stacked matmuls, so one row reads exactly as its own 1-D dot."""
     hinge = np.where(margins > 0.0, margins, 0.0)
-    wsq = float(w @ w)
-    primal = 0.5 * wsq + float(c_i @ hinge)
-    dual = float(alpha.sum()) - 0.5 * wsq
-    return (primal - dual) / (1.0 + abs(primal))
+    wsq = np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0]
+    primal = 0.5 * wsq + np.matmul(C[:, None, :], hinge[:, :, None])[:, 0, 0]
+    dual = A.sum(axis=1) - 0.5 * wsq
+    return (primal - dual) / (1.0 + np.abs(primal))
 
 
-def svm_dual_solve(X, y, c_i, tol, max_epochs):
-    """Solve the soft-margin linear SVM dual on augmented features.
+def svm_dual_solve(X, Y, C, tol, max_epochs):
+    """Solve m soft-margin linear SVM duals on shared augmented features.
 
-    The bias is the last, regularized column of ``X``. Projected
-    gradient on the box-constrained dual, vectorized over samples; stops
-    on relative duality gap <= tol or on the epoch limit. Returns
-    (w, alpha, gap, epochs).
+    ``X`` is (n, d) with the bias as its last, regularized column; ``Y``
+    (+-1 labels) and ``C`` (per-sample penalties) are (m, n), one row
+    per machine. Projected gradient on each box-constrained dual with
+    one step of 1/L (L from a power iteration on ``X``, shared by every
+    machine). The machines step in lockstep, so an epoch is one
+    ``(A * Y) @ X`` and one ``W @ X.T`` over the still-active rows. A
+    machine leaves the active set, its row frozen, once its relative
+    duality gap is <= tol; the rest stop at the epoch limit. Returns
+    (W (m, d), A (m, n), gaps (m,), epochs), with ``epochs`` the
+    machines' summed epoch count.
     """
-    alpha = np.zeros(X.shape[0])
-    w = np.zeros(X.shape[1])
-    v = np.ones(X.shape[0])
+    m, n = Y.shape
+    v = np.ones(n)
     for _ in range(30):
         v = X @ (X.T @ v)
         nv = np.linalg.norm(v)
@@ -123,17 +130,32 @@ def svm_dual_solve(X, y, c_i, tol, max_epochs):
         v /= nv
     lip = float(np.linalg.norm(X @ (X.T @ v))) or 1.0
     step = 1.0 / lip
+    W = np.zeros((m, X.shape[1]))
+    A = np.zeros((m, n))
+    gaps = np.full(m, np.inf)
     epochs = 0
-    gap = np.inf
-    # 1 - y * (X @ w) is both the dual gradient and the hinge margin, so
-    # one product per epoch serves this epoch's gap and the next step
-    margins = 1.0 - y * (X @ w)
-    for _ in range(int(max_epochs)):
-        epochs += 1
-        alpha = np.clip(alpha + step * margins, 0.0, c_i)
-        w = X.T @ (alpha * y)
-        margins = 1.0 - y * (X @ w)
-        gap = _svm_gap(margins, c_i, alpha, w)
-        if gap <= tol:
-            break
-    return w, alpha, float(gap), int(epochs)
+    rows = np.arange(m)                    # active machines
+    y, c, alpha, w, gap = Y, C, A[rows], W[rows], gaps[rows]
+    # 1 - y * (w @ X.T) is both the dual gradient and the hinge margin,
+    # so one product per epoch serves this epoch's gap and the next step
+    margins = 1.0 - y * (w @ X.T)
+    for epoch in range(1, int(max_epochs) + 1):
+        alpha = np.clip(alpha + step * margins, 0.0, c)
+        w = (alpha * y) @ X
+        margins = 1.0 - y * (w @ X.T)
+        gap = _svm_gaps(margins, c, alpha, w)
+        done = gap <= tol
+        if done.any():
+            stop = rows[done]
+            W[stop], A[stop], gaps[stop] = w[done], alpha[done], gap[done]
+            epochs += epoch * int(done.sum())
+            keep = ~done
+            rows, y, c, alpha, w, margins, gap = (
+                rows[keep], y[keep], c[keep], alpha[keep], w[keep],
+                margins[keep], gap[keep])
+            if not rows.size:
+                break
+    else:
+        W[rows], A[rows], gaps[rows] = w, alpha, gap
+        epochs += int(max_epochs) * rows.size
+    return W, A, gaps, int(epochs)

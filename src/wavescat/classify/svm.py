@@ -6,6 +6,13 @@ is class-balanced (C scaled by n / (2 * n_side)) so heavily uneven
 one-vs-rest splits do not collapse onto the majority side; with equal
 class sizes this reduces to plain C. Machines solve the dual to a
 relative duality gap of ``tol`` or stop at the epoch limit, flagged.
+
+A fold's machines are solved together by one ``_kernels.svm_dual_solve``
+call: its ``Y`` (+-1 labels) and ``C`` (penalties) are (classes, n),
+one row per machine over the same augmented features, so each epoch
+steps every still-active machine with two matrix products. A machine
+that meets ``tol`` stops there while the others go on. A row matches
+that machine solved alone up to the rounding of the matrix products.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ def train_svm_ova(data: Dataset, c: float = 1.0, tol: float = 1e-3,
                   max_iter: int = 300) -> OvaSvmModel:
     if not c > 0:
         raise DataError("C must be positive")
+    if not tol >= 0:
+        raise DataError("tol must be non-negative")
     if max_iter < 1:
         raise DataError("max_iter must be at least 1")
     if data.n_classes < 2:
@@ -51,26 +60,16 @@ def train_svm_ova(data: Dataset, c: float = 1.0, tol: float = 1e-3,
     aug = np.hstack([x, np.ones((x.shape[0], 1))])
     n = aug.shape[0]
 
-    n_classes = data.n_classes
-    weights = np.zeros((n_classes, kept.size))
-    biases = np.zeros(n_classes)
-    converged = np.zeros(n_classes, dtype=bool)
-    gaps = np.zeros(n_classes)
-    for cls in range(n_classes):
-        y = np.where(data.labels == cls, 1.0, -1.0)
-        n_pos = int(present[cls])
-        if 0 < n_pos < n:
-            c_i = np.where(y > 0, c * n / (2.0 * n_pos),
-                           c * n / (2.0 * (n - n_pos)))
-        else:
-            c_i = np.full(n, c)
-        w, _, gap, _ = _kernels.svm_dual_solve(aug, y, c_i, tol, max_iter)
-        weights[cls] = w[:-1]
-        biases[cls] = w[-1]
-        gaps[cls] = gap
-        converged[cls] = gap <= tol
-    return OvaSvmModel(weights, biases, mean, std, kept, dropped,
-                       converged, gaps, data.n_features, n_classes)
+    # one row per machine: +-1 labels and each sample's class-balanced C
+    Y = np.where(data.labels == np.arange(data.n_classes)[:, None], 1.0, -1.0)
+    n_pos = present[:, None]
+    n_side = np.where(Y > 0, n_pos, n - n_pos)    # >= 1: the sample's side
+    # a machine whose class is absent or is every sample gets plain C
+    C = np.where((n_pos == 0) | (n_pos == n), c, c * n / (2.0 * n_side))
+    W, _, gaps, _ = _kernels.svm_dual_solve(aug, Y, C, tol, max_iter)
+    return OvaSvmModel(W[:, :-1].copy(), W[:, -1].copy(), mean, std, kept,
+                       dropped, gaps <= tol, gaps, data.n_features,
+                       data.n_classes)
 
 
 def decision_values_svm(model: OvaSvmModel, features: np.ndarray) -> np.ndarray:

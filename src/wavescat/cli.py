@@ -415,8 +415,20 @@ def cmd_joint(cfg: Config):
         data = Dataset(data.features, rng.permutation(data.labels),
                        data.class_names)
     c, tol, max_iter = cfg.get("c"), cfg.get("tol"), cfg.get("max_iter")
-    matrix = run_kfold(data, k,
-                       lambda d, _: train_svm_ova(d, c, tol, max_iter), seed)
+    fold_gaps = []
+
+    def fit(d, _):
+        # train_svm_ova is looked up per call, as in _chambers_fit
+        model = train_svm_ova(d, c, tol, max_iter)
+        fold_gaps.append(model.gaps)
+        return model
+
+    matrix = run_kfold(data, k, fit, seed)
+    gaps = np.concatenate(fold_gaps)
+    missed = int(np.count_nonzero(gaps > tol))
+    if missed:
+        print(f"warning: {missed} of {gaps.size} SVM machines stopped above "
+              f"tol={tol:g} (largest gap {gaps.max():.3g})", file=sys.stderr)
     stats = confusion_stats(matrix)
     out = os.path.join(out_dir, "joint_confusion.csv")
     _atomic(out, lambda p: confusion_to_csv(matrix, p, cfg.line()))

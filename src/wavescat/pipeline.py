@@ -134,21 +134,29 @@ def _wcoh_rows(smoothing, session, bank, grid):
 def _window_table(sessions, window_len, hop, bank_cfg, session_rows, names,
                   channel, label=None) -> FeatureTable:
     """A row per kept window of every session; ``session_rows(session,
-    bank, grid)`` returns one session's (features x windows) block."""
-    blocks, segs = [], []
-    for session in sessions:
-        win, step, starts, codes = chamber_windows(session, window_len, hop)
+    bank, grid)`` returns one session's (features x windows) block. The
+    kept windows are counted first, so each block is copied once into
+    its rows of one preallocated matrix."""
+    grids = [chamber_windows(session, window_len, hop)
+             for session in sessions]
+    n_rows = sum(starts.size for _, _, starts, _ in grids)
+    if not n_rows:
+        raise DataError("no chamber-constant windows found")
+    # every bank of one config has the same center frequencies
+    freqs = bank_cfg.bank(sessions[0].hip.samples.size,
+                          sessions[0].fs).center_frequencies
+    columns = [f"{name}[{f:.4g}]" for name in names for f in freqs]
+    matrix = np.empty((n_rows, len(columns)))
+    row, segs = 0, []
+    for session, (win, step, starts, codes) in zip(sessions, grids):
         bank = bank_cfg.bank(session.hip.samples.size, session.fs)
-        blocks.append(session_rows(session, bank, (win, step, starts)).T)
+        matrix[row:row + starts.size] = session_rows(
+            session, bank, (win, step, starts)).T
+        row += starts.size
         segs += [Segment(np.empty(0), session.group, session.phase, channel,
                          Chamber(code), start / session.fs, session.rat_id)
                  for start, code in zip(starts.tolist(), codes.tolist())]
-    if not segs:
-        raise DataError("no chamber-constant windows found")
-    # every bank of one config has the same center frequencies
-    columns = [f"{name}[{f:.4g}]" for name in names
-               for f in bank.center_frequencies]
-    return FeatureTable(np.concatenate(blocks), columns, segs, label)
+    return FeatureTable(matrix, columns, segs, label)
 
 
 def cwt_table(sessions, channel: Channel, window_len: float, hop: float,

@@ -206,6 +206,19 @@ def test_joint_end_to_end_small(tmp_path, small_cohort, capsys):
     assert np.allclose(recomputed, emitted_tpr, atol=1e-9)
 
 
+def test_joint_warns_once_when_machines_miss_tol(tmp_path, small_cohort,
+                                                capsys):
+    args = ["joint", "--data", str(small_cohort), "--seed", "7", "--k", "3",
+            "--hop", "1.0", "--max-iter", "1"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"warning: [1-9]\d* of 36 SVM machines stopped above "
+                        r"tol=0\.001 \(largest gap \S+\)", err[0])
+    assert main(args + ["--out", str(tmp_path / "b"), "--tol", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_joint_missing_combinations_exits_3(tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()
@@ -296,6 +309,7 @@ def test_mlp_divergence_exits_4(tmp_path, small_cohort, capsys):
     (["chambers", "--model", "mlp", "--hidden", "-5", "--source", "hip",
       "--group", "food", "--phase", "both"], "hidden sizes"),
     (["joint", "--max-iter", "0"], "max_iter"),
+    (["joint", "--tol", "-1"], "tol must be non-negative"),
 ])
 def test_invalid_classifier_settings_exit_3(tmp_path, small_cohort, capsys,
                                             argv, message):

@@ -4,7 +4,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wavescat import _kernels
@@ -105,8 +105,9 @@ def test_pg_solver_standalone_contract():
     x = rng.standard_normal((60, 3))
     y = np.where(x[:, 1] > 0, 1.0, -1.0)
     aug = np.hstack([x, np.ones((60, 1))])
-    w, alpha, gap, epochs = svm_dual_solve(aug, y, np.full(60, 1.0), 1e-8,
-                                           100_000)
+    W, A, gaps, epochs = svm_dual_solve(aug, y[None], np.full(60, 1.0)[None],
+                                        1e-8, 100_000)
+    w, alpha, gap = W[0], A[0], gaps[0]
     assert gap <= 1e-8
     assert np.all(alpha >= 0) and np.all(alpha <= 1.0 + 1e-12)
     margins = y * (aug @ w)
@@ -133,8 +134,66 @@ def svm_problems(draw):
 @given(svm_problems())
 @settings(max_examples=200, deadline=None)
 def test_pg_solver_equals_two_pass_oracle(problem):
-    got = svm_dual_solve(*problem)
+    aug, y, c_i, tol, max_epochs = problem
+    W, A, gaps, epochs = svm_dual_solve(aug, y[None], c_i[None], tol,
+                                        max_epochs)
+    got = W[0], A[0], float(gaps[0]), epochs
     expected = svm_dual_solve_two_pass(*problem)
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[1], expected[1])
     assert got[2:] == expected[2:]
+
+
+@st.composite
+def lockstep_problems(draw):
+    """One augmented feature matrix shared by 2..12 machines, each with
+    its own labels and per-sample C."""
+    aug, _, _, tol, max_epochs = draw(svm_problems())
+    n = aug.shape[0]
+    m = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Y = np.where(rng.random((m, n)) < 0.5, -1.0, 1.0)
+    C = rng.choice([0.01, 1.0, 20.0], size=(m, 1)) * np.where(
+        Y > 0, 1.0, rng.choice([0.5, 1.0, 3.0], size=(m, 1)))
+    return aug, Y, C, tol, max_epochs
+
+
+@given(lockstep_problems())
+@settings(max_examples=200, deadline=None)
+def test_lockstep_rows_equal_two_pass_oracle(problem):
+    """Each machine of a lockstep solve matches that machine solved alone;
+    only the rounding of GEMM against GEMV may differ."""
+    aug, Y, C, tol, max_epochs = problem
+    expected = [svm_dual_solve_two_pass(aug, y, c, tol, max_epochs)
+                for y, c in zip(Y, C)]
+    # a gap this close to tol may cross it under different rounding
+    assume(all(abs(e[2] - tol) > 1e-9 for e in expected))
+    W, A, gaps, epochs = svm_dual_solve(aug, Y, C, tol, max_epochs)
+    for w, alpha, (w_1, alpha_1, _, _) in zip(W, A, expected):
+        assert np.abs(w - w_1).max() <= 1e-12 * max(1.0, np.abs(w_1).max())
+        assert (np.abs(alpha - alpha_1).max()
+                <= 1e-12 * max(1.0, np.abs(alpha_1).max()))
+    assert epochs == sum(e[3] for e in expected)
+    assert np.array_equal(gaps <= tol, [e[2] <= tol for e in expected])
+
+
+def test_lockstep_machine_freezes_where_it_stops():
+    """A machine that meets tol at epoch k keeps, bit for bit, the row a
+    solve limited to k epochs gives it, while the other runs on."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((50, 3))
+    aug = np.hstack([x, np.ones((50, 1))])
+    easy = np.where(x[:, 0] > 0, 1.0, -1.0)
+    noisy = np.where(rng.random(50) < 0.5, -1.0, 1.0)
+    Y = np.stack([easy, noisy])
+    C = np.repeat([[0.1], [10.0]], 50, axis=1)
+    tol, limit = 0.05, 400
+    W, A, gaps, epochs = svm_dual_solve(aug, Y, C, tol, limit)
+    assert gaps[0] <= tol < gaps[1]
+    k = epochs - limit                    # the stopped machine's epochs
+    assert 1 <= k < limit
+    W_k, A_k, gaps_k, epochs_k = svm_dual_solve(aug, Y, C, tol, k)
+    assert epochs_k == 2 * k
+    assert np.array_equal(W[0], W_k[0])
+    assert np.array_equal(A[0], A_k[0])
+    assert gaps[0] == gaps_k[0]

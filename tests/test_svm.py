@@ -130,6 +130,9 @@ def test_validation():
     for c in (-1.0, np.nan):
         with pytest.raises(DataError, match="C must be positive"):
             train_svm_ova(data, c=c)
+    for tol in (-1.0, -1e-12, np.nan):
+        with pytest.raises(DataError, match="tol must be non-negative"):
+            train_svm_ova(data, tol=tol)
     for max_iter in (0, -1):
         with pytest.raises(DataError, match="max_iter"):
             train_svm_ova(data, max_iter=max_iter)
