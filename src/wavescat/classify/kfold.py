@@ -54,6 +54,5 @@ def run_kfold(data: Dataset, k: int, fit, seed: int,
         train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
         model = fit(data.subset(train_idx), seed + fold_id)
         predicted = predict(model, data.features[test_idx])
-        for truth, guess in zip(data.labels[test_idx], predicted):
-            matrix[truth, guess] += 1
+        np.add.at(matrix, (data.labels[test_idx], predicted), 1)
     return ConfusionMatrix(matrix, list(data.class_names))

@@ -32,7 +32,7 @@ from .cwt import cwt, scalogram_magnitude, scalogram_to_csv
 from .errors import DataError, NumericalError
 from .model import Channel, Group, Phase
 from .netpbm import to_gray, write_pgm
-from .pipeline import (BankConfig, chamber_dataset, cwt_table,
+from .pipeline import (BankConfig, chamber_dataset, cwt_table, group_rows,
                        joint_dataset, load_sessions, scatter_table,
                        table_to_csv, wcoh_table)
 from .scattering import ScatteringParams
@@ -361,10 +361,8 @@ def cmd_chambers(cfg: Config):
                               bank_cfg)
         for group in groups:
             data = chamber_dataset(table, group, phases)
-            rats = None
-            if per_rat:
-                rats = [s.rat_id for s in table.segments
-                        if s.group is group and s.phase in phases]
+            rats = (table.segments["rat"][group_rows(table, group, phases)]
+                    if per_rat else None)
             matrix = run_kfold(data, k, fit, seed, groups=rats)
             stats = confusion_stats(matrix)
             accuracy[(source, group.value)] = stats["micro"]

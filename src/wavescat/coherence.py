@@ -27,10 +27,18 @@ EPS_DEN_REL = 1e-12
 
 @dataclass(frozen=True)
 class SmoothingSpec:
-    """Boxcar widths: ~``c_t`` cycles along time, ``c_s`` octave across scale."""
+    """Boxcar widths: ~``c_t`` cycles along time, ``c_s`` octave across
+    scale; both non-negative, and a width that rounds below one sample
+    or voice is one."""
 
     c_t: float = 2.0
     c_s: float = 0.6
+
+    def __post_init__(self):
+        for name in ("c_t", "c_s"):
+            width = getattr(self, name)
+            if not width >= 0.0:
+                raise DataError(f"{name} must be non-negative, got {width}")
 
     def widths(self, scale_axis, fs, voices_per_octave):
         tw = np.maximum(1, np.round(self.c_t * fs / np.asarray(scale_axis))

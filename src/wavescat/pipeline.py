@@ -12,6 +12,12 @@ contamination is identical across equal-length sessions and adds no
 label information).
 Scattering features are computed per segment, matching
 ``scattering.scatter`` bit for bit.
+
+A ``FeatureTable`` labels each row with one ``label_dtype`` record
+(group, phase, channel and chamber codes and the whole rat id), filled
+by array assignment per session, or converted from the ``Segment``s
+that ``feature_matrix`` returns; CSV cells, class ids and row
+selections are array operations on those records.
 """
 
 from __future__ import annotations
@@ -27,15 +33,18 @@ from .csvfile import write_csv
 from .cwt import cwt, next_pow2, scalogram_magnitude
 from .errors import DataError
 from .model import (Chamber, Channel, Group, Phase, RecordingSession,
-                    Segment, chamber_windows, load_session,
-                    segment_by_chamber)
+                    chamber_windows, load_session, segment_by_chamber)
 from .morse import MorseParams, build_filterbank
 from .classify import Dataset
 from .scattering import ScatteringParams, feature_matrix, path_names
 
-JOINT_CHANNELS = (Channel.HIP, Channel.NAC)
+# A label record's channel, phase and group codes index these tuples,
+# whose (channel, phase, group) product over HIP and NAc is the joint
+# class order; its chamber code is the track code.
+CHANNELS = ("HIP", "NAc", "HIP-NAc")
 JOINT_PHASES = (Phase.POST, Phase.PRE)
 JOINT_GROUPS = (Group.MORPHINE, Group.FOOD, Group.SALINE)
+# the chamber classes, in confusion-chart order
 CHAMBER_ORDER = (Chamber.REWARDED, Chamber.NULL, Chamber.UNREWARDED)
 
 
@@ -67,14 +76,30 @@ def load_sessions(paths) -> list[RecordingSession]:
     return sessions
 
 
+def label_dtype(rat_ids) -> np.dtype:
+    """One row's label record: group, phase, channel and chamber codes,
+    then the rat id in a field as wide as the longest of ``rat_ids``."""
+    width = max([1, *map(len, rat_ids)])
+    return np.dtype([("group", "u1"), ("phase", "u1"), ("channel", "u1"),
+                     ("chamber", "u1"), ("rat", f"U{width}")])
+
+
+def segment_labels(segments) -> np.ndarray:
+    """The label records of a list of ``Segment``s."""
+    return np.array(
+        [(JOINT_GROUPS.index(s.group), JOINT_PHASES.index(s.phase),
+          CHANNELS.index(s.channel.display), s.chamber.value, s.rat_id)
+         for s in segments],
+        label_dtype({s.rat_id for s in segments}))
+
+
 @dataclass
 class FeatureTable:
-    """Feature rows plus per-row segment metadata."""
+    """Feature rows plus one ``label_dtype`` record per row."""
 
     matrix: np.ndarray
     columns: list[str]
-    segments: list[Segment]
-    channel_label: str | None = None  # overrides per-segment channel (wcoh)
+    segments: np.ndarray
 
 
 def _window_sums(mat, grid):
@@ -132,11 +157,12 @@ def _wcoh_rows(smoothing, session, bank, grid):
 
 
 def _window_table(sessions, window_len, hop, bank_cfg, session_rows, names,
-                  channel, label=None) -> FeatureTable:
+                  channel) -> FeatureTable:
     """A row per kept window of every session; ``session_rows(session,
     bank, grid)`` returns one session's (features x windows) block. The
     kept windows are counted first, so each block is copied once into
-    its rows of one preallocated matrix."""
+    its rows of one preallocated matrix. Every row is labelled with the
+    ``CHANNELS`` entry ``channel``."""
     grids = [chamber_windows(session, window_len, hop)
              for session in sessions]
     n_rows = sum(starts.size for _, _, starts, _ in grids)
@@ -147,16 +173,19 @@ def _window_table(sessions, window_len, hop, bank_cfg, session_rows, names,
                           sessions[0].fs).center_frequencies
     columns = [f"{name}[{f:.4g}]" for name in names for f in freqs]
     matrix = np.empty((n_rows, len(columns)))
-    row, segs = 0, []
+    labels = np.empty(n_rows, label_dtype({s.rat_id for s in sessions}))
+    labels["channel"] = CHANNELS.index(channel)
+    row = 0
     for session, (win, step, starts, codes) in zip(sessions, grids):
         bank = bank_cfg.bank(session.hip.samples.size, session.fs)
-        matrix[row:row + starts.size] = session_rows(
-            session, bank, (win, step, starts)).T
-        row += starts.size
-        segs += [Segment(np.empty(0), session.group, session.phase, channel,
-                         Chamber(code), start / session.fs, session.rat_id)
-                 for start, code in zip(starts.tolist(), codes.tolist())]
-    return FeatureTable(matrix, columns, segs, label)
+        rows = slice(row, row + starts.size)
+        matrix[rows] = session_rows(session, bank, (win, step, starts)).T
+        labels["group"][rows] = JOINT_GROUPS.index(session.group)
+        labels["phase"][rows] = JOINT_PHASES.index(session.phase)
+        labels["chamber"][rows] = codes
+        labels["rat"][rows] = session.rat_id
+        row = rows.stop
+    return FeatureTable(matrix, columns, labels)
 
 
 def cwt_table(sessions, channel: Channel, window_len: float, hop: float,
@@ -164,7 +193,7 @@ def cwt_table(sessions, channel: Channel, window_len: float, hop: float,
     """Per-scale magnitude mean and variance of each window."""
     return _window_table(sessions, window_len, hop, bank_cfg,
                          partial(_cwt_rows, channel), ("cwt_mean", "cwt_var"),
-                         channel)
+                         channel.display)
 
 
 def wcoh_table(sessions, window_len: float, hop: float, bank_cfg: BankConfig,
@@ -172,7 +201,7 @@ def wcoh_table(sessions, window_len: float, hop: float, bank_cfg: BankConfig,
     """Per-scale mean coherence and circular-mean phase of each window."""
     return _window_table(sessions, window_len, hop, bank_cfg,
                          partial(_wcoh_rows, smoothing),
-                         ("coh_mean", "phase_mean"), Channel.HIP, "HIP-NAc")
+                         ("coh_mean", "phase_mean"), "HIP-NAc")
 
 
 def scatter_table(sessions, window_len: float, hop: float,
@@ -183,55 +212,60 @@ def scatter_table(sessions, window_len: float, hop: float,
     if not segments:
         raise DataError("no chamber-constant windows found")
     matrix, paths, segments = feature_matrix(segments, params)
-    return FeatureTable(matrix, path_names(paths), segments)
+    return FeatureTable(matrix, path_names(paths), segment_labels(segments))
 
 
 def table_to_csv(table: FeatureTable, path, config_line: str = "") -> None:
     """Feature columns then the group,phase,channel,chamber label cells."""
-    rows = (row.tolist() + [seg.group.value, seg.phase.value,
-                            table.channel_label or seg.channel.display,
-                            seg.chamber.display]
-            for row, seg in zip(table.matrix, table.segments))
+    labels = table.segments
+    cells = np.stack([
+        np.array([g.value for g in JOINT_GROUPS])[labels["group"]],
+        np.array([p.value for p in JOINT_PHASES])[labels["phase"]],
+        np.array(CHANNELS)[labels["channel"]],
+        np.array([c.display for c in Chamber])[labels["chamber"]]], axis=1)
+    rows = (row.tolist() + names.tolist()
+            for row, names in zip(table.matrix, cells))
     write_csv(path, table.columns + ["group", "phase", "channel", "chamber"],
               rows, config_line)
 
 
-def joint_class_name(channel: Channel, phase: Phase, group: Group) -> str:
-    return (f"{channel.display}-{phase.value.capitalize()}-"
-            f"{group.value.capitalize()}")
-
-
 def joint_class_names() -> list[str]:
-    return [joint_class_name(ch, ph, g)
-            for ch in JOINT_CHANNELS for ph in JOINT_PHASES
+    return [f"{ch}-{ph.value.capitalize()}-{g.value.capitalize()}"
+            for ch in CHANNELS[:2] for ph in JOINT_PHASES
             for g in JOINT_GROUPS]
 
 
 def joint_dataset(table: FeatureTable) -> Dataset:
     """12-way (channel x phase x group) dataset in confusion-chart order."""
     names = joint_class_names()
-    index = {name: i for i, name in enumerate(names)}
-    labels = np.array([index[joint_class_name(s.channel, s.phase, s.group)]
-                       for s in table.segments], dtype=np.int64)
-    missing = [names[i] for i in range(len(names))
-               if not np.any(labels == i)]
+    labels = table.segments
+    classes = ((labels["channel"].astype(np.int64) * len(JOINT_PHASES)
+                + labels["phase"]) * len(JOINT_GROUPS) + labels["group"])
+    counts = np.bincount(classes, minlength=len(names))
+    missing = [names[i] for i in np.flatnonzero(counts[:len(names)] == 0)]
     if missing:
         raise DataError(f"combinations absent from the data: {missing}")
-    return Dataset(table.matrix, labels, names)
+    return Dataset(table.matrix, classes, names)
+
+
+def group_rows(table: FeatureTable, group: Group, phases) -> np.ndarray:
+    """The indices of the rows of ``group`` in any of ``phases``."""
+    labels = table.segments
+    return np.flatnonzero(
+        (labels["group"] == JOINT_GROUPS.index(group))
+        & np.isin(labels["phase"], [JOINT_PHASES.index(p) for p in phases]))
 
 
 def chamber_dataset(table: FeatureTable, group: Group,
                     phases=(Phase.POST,)) -> Dataset:
     """3-way chamber dataset for one treatment group."""
-    keep = [i for i, s in enumerate(table.segments)
-            if s.group is group and s.phase in phases]
-    if not keep:
+    keep = group_rows(table, group, phases)
+    if not keep.size:
         raise DataError(f"no segments for group {group.value}")
     names = [c.display for c in CHAMBER_ORDER]
-    index = {c: i for i, c in enumerate(CHAMBER_ORDER)}
-    labels = np.array([index[table.segments[i].chamber] for i in keep],
-                      dtype=np.int64)
-    missing = [names[j] for j in range(3) if not np.any(labels == j)]
+    rank = np.array([CHAMBER_ORDER.index(c) for c in Chamber])
+    classes = rank[table.segments["chamber"][keep]]
+    missing = [names[j] for j in range(3) if not np.any(classes == j)]
     if missing:
         raise DataError(f"chambers absent for group {group.value}: {missing}")
-    return Dataset(table.matrix[keep], labels, names)
+    return Dataset(table.matrix[keep], classes, names)

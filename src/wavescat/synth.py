@@ -89,6 +89,10 @@ class SynthSpec:
             raise DataError("session_len must be at least 10 s")
         if not self.fs >= 200.0:
             raise DataError("fs must be at least 200 Hz")
+        for name in ("rats_saline", "rats_morphine", "rats_food"):
+            count = getattr(self, name)
+            if count < 0:
+                raise DataError(f"{name} must be non-negative, got {count}")
 
     def rats(self):
         """(rat_id, group) pairs, ids unique across the cohort."""

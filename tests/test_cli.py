@@ -321,6 +321,47 @@ def test_invalid_classifier_settings_exit_3(tmp_path, small_cohort, capsys,
     assert len(err) == 1 and message in err[0]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--rats-food", "-2"], "rats_food must be non-negative, got -2"),
+    (["features", "wcoh", "--c-t", "-4"],
+     "c_t must be non-negative, got -4.0"),
+    (["chambers", "--source", "wcoh", "--c-s", "-0.5"],
+     "c_s must be non-negative, got -0.5"),
+    (["report", "--c-t", "-4"], "c_t must be non-negative, got -4.0"),
+])
+def test_negative_counts_and_smoothing_exit_3(tmp_path, small_cohort, capsys,
+                                             argv, message):
+    data = [] if argv[0] == "synth" else ["--data", str(small_cohort)]
+    assert main(argv + data + ["--out", str(tmp_path / "out"),
+                               "--seed", "1"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"data error: {message}"]
+
+
+def test_per_rat_keeps_long_rat_ids_apart(tmp_path):
+    """Two 40-character rat ids that differ only after the 30th character
+    stay two rats: the run equals one under short ids of the same order."""
+    rng = np.random.default_rng(30)
+    signals = [rng.standard_normal((2, 5000)) for _ in range(2)]
+    track = [(0.0, 0), (6.0, 1), (12.0, 2)]
+    prefix = "rat-" + "0" * 26
+    outputs = []
+    for ids in ([prefix + "0000000001", prefix + "0000000002"],
+                ["ratA", "ratB"]):
+        data, out = tmp_path / ids[0], tmp_path / f"out_{ids[0]}"
+        data.mkdir()
+        for rat, (hip, nac) in zip(ids, signals):
+            save_session(make_session(hip, nac, fs=250.0, track=track,
+                                      rat=rat),
+                         data / f"{rat}_food_post.wscat")
+        assert main(["chambers", "--data", str(data), "--out", str(out),
+                     "--seed", "3", "--k", "2", "--group", "food",
+                     "--source", "hip", "--hop", "1.0", "--per-rat"]) == 0
+        outputs.append(tree_digest(out))
+    assert len(prefix + "0000000001") == 40
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("row", ["a,3,x", "a,3"])
 def test_bad_counts_row_exits_3_naming_the_line(tmp_path, capsys, row):
     counts = tmp_path / "counts.csv"

@@ -28,6 +28,17 @@ def random_pair(seed, shape=(12, 128)):
     return make_scalogram(cx), make_scalogram(cy)
 
 
+def test_smoothing_widths_must_be_non_negative():
+    for bad in ({"c_t": -4.0}, {"c_s": -0.1}, {"c_t": np.nan}):
+        name = next(iter(bad))
+        with pytest.raises(DataError, match=f"{name} must be non-negative"):
+            SmoothingSpec(**bad)
+    # zero keeps meaning a width of one sample and one voice
+    tw, sw = SmoothingSpec(c_t=0.0, c_s=0.0).widths(np.array([50.0, 5.0]),
+                                                    FS, 10)
+    assert tw.tolist() == [1, 1] and sw == 1
+
+
 def test_self_cross_spectrum_real_nonnegative():
     cx, _ = random_pair(0)
     s = cross_spectrum(cx, cx, SmoothingSpec(c_t=0.5, c_s=0.75))

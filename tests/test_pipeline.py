@@ -6,8 +6,12 @@ from hypothesis import strategies as st
 
 from wavescat import pipeline
 from wavescat.coherence import SmoothingSpec
-from wavescat.model import Chamber, Channel, chamber_windows
-from wavescat.pipeline import BankConfig, cwt_table, wcoh_table
+from wavescat.model import (Chamber, Channel, Group, Phase, chamber_windows,
+                            segment_by_chamber)
+from wavescat.pipeline import (CHANNELS, JOINT_GROUPS, JOINT_PHASES,
+                               BankConfig, cwt_table, scatter_table,
+                               wcoh_table)
+from wavescat.scattering import ScatteringParams
 
 from conftest import make_session
 from oracles import (chamber_windows_by_start, cwt_rows_by_window,
@@ -123,3 +127,56 @@ def test_wcoh_table_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 7.5 * scalogram_bytes
+
+
+def _labels(table):
+    """(group, phase, channel, chamber, rat id) of every table row."""
+    return [(JOINT_GROUPS[g], JOINT_PHASES[p], CHANNELS[c], Chamber(ch), rat)
+            for g, p, c, ch, rat in table.segments.tolist()]
+
+
+def test_every_table_row_carries_its_window_labels():
+    rng = np.random.default_rng(12)
+    track = [(0.3, 1), (2.1, 2), (4.0, 0)]
+    sessions = [make_session(rng.standard_normal(1500),
+                             rng.standard_normal(1500), fs=250.0,
+                             track=track, rat=rat, group=group, phase=phase)
+                for rat, group, phase in [
+                    ("r", Group.FOOD, Phase.POST),
+                    ("rat-with-a-longer-id", Group.MORPHINE, Phase.PRE),
+                    ("rat2", Group.SALINE, Phase.POST)]]
+    windows = [(s, chamber_windows(s, 1.0, 0.5)[3]) for s in sessions]
+    for table, channel in [
+            (cwt_table(sessions, Channel.NAC, 1.0, 0.5, BANK), "NAc"),
+            (wcoh_table(sessions, 1.0, 0.5, BANK, SmoothingSpec()),
+             "HIP-NAc")]:
+        assert len(table.segments) == table.matrix.shape[0]
+        assert _labels(table) == [
+            (s.group, s.phase, channel, Chamber(code), s.rat_id)
+            for s, codes in windows for code in codes.tolist()]
+    table = scatter_table(sessions, 1.0, 0.5, ScatteringParams(fs=250.0))
+    assert _labels(table) == [
+        (seg.group, seg.phase, seg.channel.display, seg.chamber, seg.rat_id)
+        for s in sessions for seg in segment_by_chamber(s, 1.0, 0.5)]
+
+
+def test_table_labels_hold_a_few_bytes_a_row():
+    """Beside its matrix, a table holds one fixed-width label record per
+    row (20 bytes for four-character rat ids), not an object per row."""
+    n, fs = 5000, 250.0
+    rng = np.random.default_rng(9)
+    sessions = [make_session(rng.standard_normal(n), rng.standard_normal(n),
+                             fs=fs, track=[(0.0, 0), (10.0, 2)],
+                             rat=f"rat{i}") for i in range(2)]
+    # the bank and the modules numpy imports on first use, before tracing
+    cwt_table(sessions, Channel.HIP, 1.0, 1.0, BANK)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        table = cwt_table(sessions, Channel.HIP, 1.0, 1 / fs, BANK)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    rows = table.matrix.shape[0]
+    assert rows > 9000
+    assert held - table.matrix.nbytes <= 32 * rows

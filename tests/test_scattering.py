@@ -3,7 +3,7 @@ import pytest
 
 from wavescat.errors import DataError
 from wavescat.model import Chamber, Channel, Group, Phase, Segment
-from wavescat.pipeline import FeatureTable, table_to_csv
+from wavescat.pipeline import FeatureTable, segment_labels, table_to_csv
 from wavescat.scattering import (ScatteringParams, feature_matrix,
                                  layer_energies, path_names, scatter)
 
@@ -199,8 +199,8 @@ def test_features_csv(tmp_path):
     segments = [seg(xs[0]), seg(xs[1], Chamber.NULL)]
     matrix, paths, segments = feature_matrix(segments, PARAMS)
     out = tmp_path / "features.csv"
-    table_to_csv(FeatureTable(matrix, path_names(paths), segments), out,
-                 "cmd=test")
+    table_to_csv(FeatureTable(matrix, path_names(paths),
+                              segment_labels(segments)), out, "cmd=test")
     lines = out.read_text().splitlines()
     header = lines[1].split(",")
     assert header[0] == "S0"

@@ -18,6 +18,10 @@ def test_spec_validation():
     for fs in (100.0, np.nan):
         with pytest.raises(DataError, match="fs must be"):
             SynthSpec(fs=fs)
+    for name in ("rats_saline", "rats_morphine", "rats_food"):
+        with pytest.raises(DataError, match=f"{name} must be non-negative"):
+            SynthSpec(**{name: -2})
+    assert [g for _, g in SynthSpec(rats_food=0).rats()].count(Group.FOOD) == 0
 
 
 def test_cohort_layout_and_naming(tmp_path):
@@ -138,7 +142,7 @@ def test_accuracy_monotone_in_delta():
         tables = [cwt_table(sessions, ch, 1.0, 1.0, BankConfig())
                   for ch in (Channel.HIP, Channel.NAC)]
         matrix = np.vstack([t.matrix for t in tables])
-        segments = tables[0].segments + tables[1].segments
+        segments = np.concatenate([t.segments for t in tables])
         from wavescat.pipeline import FeatureTable
         table = FeatureTable(matrix, tables[0].columns, segments)
         data = joint_dataset(table)

@@ -66,6 +66,7 @@ RUNS = [
     ("B", "chambers --seed 1 --phase pre --group food --source all"),
     # 27 of its 36 SVM machines meet tol early and 9 run to the limit
     ("A", "joint --seed 1 --tol 0.5 --max-iter 2000 --k 3"),
+    ("A", "joint --seed 1 --shuffle-labels --k 3"),
 ]
 
 TOKEN = "<RUN>"
