@@ -1,20 +1,21 @@
 """Batch command line: synth | features | chambers | joint | report.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 data error,
-4 numerical failure. Every option can also come from a ``key=value``
-config file (``--config``); explicit flags win. ``OPTIONS`` lists each
-option once and generates the flags, the ``--help`` defaults and the
-config-file casts. A config key must name an option of some command;
-keys of other commands are ignored, so one file can serve every
-command. All outputs embed the resolved configuration in a
-``# wavescat-config:`` header line and are written atomically (temp
-file + rename), so re-running a command with the same configuration
-reproduces every output byte for byte.
+Exit codes: 0 success, 2 usage or configuration error or an output that
+cannot be written, 3 data error, 4 numerical failure. Every option can
+also come from a ``key=value`` config file (``--config``); explicit
+flags win. ``OPTIONS`` lists each option once and generates the flags,
+the ``--help`` defaults and the config-file casts. A config key must
+name an option of some command; keys of other commands are ignored, so
+one file can serve every command. All outputs embed the resolved
+configuration in a ``# wavescat-config:`` header line and are written
+atomically (temp file + rename), so re-running a command with the same
+configuration reproduces every output byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import math
 import os
@@ -201,11 +202,16 @@ class Config:
                 raise UsageError(f"{opt.flag} is required")
         self.resolved = {}
 
-    def get(self, key):
-        opt = OPTIONS[key]
+    def peek(self, key):
+        """The value ``get`` would return, left out of ``line``."""
         value = getattr(self.args, key)
         if value is None:
-            value = self.file_values.get(key, opt.default)
+            value = self.file_values.get(key, OPTIONS[key].default)
+        return value
+
+    def get(self, key):
+        opt = OPTIONS[key]
+        value = self.peek(key)
         if opt.record == "always" or (opt.record == "set"
                                       and value != opt.default):
             self.resolved[key] = value
@@ -244,9 +250,17 @@ def _load_config_file(path):
 
 
 def _atomic(path, writer):
+    """``writer(tmp)`` then rename over ``path``; a failed write leaves
+    neither ``tmp`` nor ``path`` changed. ``write_csv``'s block files have
+    no name, so none is left either."""
     tmp = str(path) + ".tmp"
-    writer(tmp)
-    os.replace(tmp, path)
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _bundle_paths(data_dir):
@@ -262,8 +276,12 @@ def _bank_config(cfg: Config) -> BankConfig:
                       fmin=cfg.get("fmin"), fmax=cfg.get("fmax"))
 
 
-def _smoothing(cfg: Config) -> SmoothingSpec:
-    return SmoothingSpec(c_t=cfg.get("c_t"), c_s=cfg.get("c_s"))
+def _smoothing(cfg: Config, record: bool = True) -> SmoothingSpec:
+    """``record=False`` checks the widths before the first output without
+    adding them to the config line of the outputs written before the
+    command reads them."""
+    read = cfg.get if record else cfg.peek
+    return SmoothingSpec(c_t=read("c_t"), c_s=read("c_s"))
 
 
 def _scatter_params(cfg: Config, fs: float) -> ScatteringParams:
@@ -342,6 +360,8 @@ def cmd_chambers(cfg: Config):
     groups = ([Group.FOOD, Group.MORPHINE, Group.SALINE]
               if group_tok == "all" else [Group(group_tok)])
     per_rat = cfg.get("per_rat")
+    if "wcoh" in sources:
+        _smoothing(cfg, record=False)
     out_dir = cfg.get("out")
     # only the sessions that give rows are transformed
     sessions = [s for s in load_sessions(_bundle_paths(cfg.get("data")))
@@ -436,6 +456,7 @@ def cmd_joint(cfg: Config):
 
 
 def cmd_report(cfg: Config):
+    _smoothing(cfg, record=False)
     sessions = load_sessions(_bundle_paths(cfg.get("data")))
     rat = cfg.get("rat")
     if rat:
@@ -543,6 +564,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"wavescat {args.command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvfile import write_csv
+from .csvfile import LazyRows, write_csv
 from .errors import DataError
 from .model import TimeSeries
 from .morse import FilterBank
@@ -109,6 +109,6 @@ def scalogram_to_csv(mag: np.ndarray, scale_axis, time_axis, path,
                      config_line: str = "") -> None:
     """Magnitudes as CSV: header row = time axis, first column = frequency."""
     header = ["freq_hz"] + np.asarray(time_axis).tolist()
-    rows = ([fc] + row.tolist()
-            for fc, row in zip(np.asarray(scale_axis).tolist(), mag))
+    freqs = np.asarray(scale_axis).tolist()
+    rows = LazyRows(len(freqs), lambda j: [freqs[j]] + mag[j].tolist())
     write_csv(path, header, rows, config_line)

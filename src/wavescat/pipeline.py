@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .coherence import SmoothingSpec, coherence
-from .csvfile import write_csv
+from .csvfile import LazyRows, write_csv
 from .cwt import cwt, next_pow2, scalogram_magnitude
 from .errors import DataError
 from .model import (Chamber, Channel, Group, Phase, RecordingSession,
@@ -223,8 +223,8 @@ def table_to_csv(table: FeatureTable, path, config_line: str = "") -> None:
         np.array([p.value for p in JOINT_PHASES])[labels["phase"]],
         np.array(CHANNELS)[labels["channel"]],
         np.array([c.display for c in Chamber])[labels["chamber"]]], axis=1)
-    rows = (row.tolist() + names.tolist()
-            for row, names in zip(table.matrix, cells))
+    rows = LazyRows(len(cells),
+                    lambda i: table.matrix[i].tolist() + cells[i].tolist())
     write_csv(path, table.columns + ["group", "phase", "channel", "chamber"],
               rows, config_line)
 

@@ -93,6 +93,8 @@ class SynthSpec:
             count = getattr(self, name)
             if count < 0:
                 raise DataError(f"{name} must be non-negative, got {count}")
+        if not (self.rats_saline or self.rats_morphine or self.rats_food):
+            raise DataError("the cohort needs at least one rat")
 
     def rats(self):
         """(rat_id, group) pairs, ids unique across the cohort."""

@@ -3,13 +3,15 @@ import hashlib
 import inspect
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from wavescat.classify import (ConfusionMatrix, confusion_to_csv, train_mlp,
                                train_svm_ova, train_tree)
-from wavescat import cli, pipeline
+from wavescat import cli, csvfile, pipeline
 from wavescat.cli import OPTIONS, Config, build_parser, main
 from wavescat.coherence import SmoothingSpec
 from wavescat.model import (Chamber, Channel, Group, Phase, load_session,
@@ -328,14 +330,84 @@ def test_invalid_classifier_settings_exit_3(tmp_path, small_cohort, capsys,
     (["chambers", "--source", "wcoh", "--c-s", "-0.5"],
      "c_s must be non-negative, got -0.5"),
     (["report", "--c-t", "-4"], "c_t must be non-negative, got -4.0"),
+    (["synth", "--rats-saline", "0", "--rats-morphine", "0",
+      "--rats-food", "0"], "the cohort needs at least one rat"),
+    (["chambers", "--source", "all", "--c-t", "-4"],
+     "c_t must be non-negative, got -4.0"),
 ])
 def test_negative_counts_and_smoothing_exit_3(tmp_path, small_cohort, capsys,
                                              argv, message):
+    """Each is refused before the command writes its first file."""
     data = [] if argv[0] == "synth" else ["--data", str(small_cohort)]
-    assert main(argv + data + ["--out", str(tmp_path / "out"),
-                               "--seed", "1"]) == 3
+    out = tmp_path / "out"
+    assert main(argv + data + ["--out", str(out), "--seed", "1"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == [f"data error: {message}"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_an_unwritable_out_exits_2_with_one_line(tmp_path, small_cohort,
+                                                capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--data", str(small_cohort), "--out", str(taken)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("wavescat report: error: ")
+    assert "File exists" in err[0] and str(taken) in err[0]
+
+
+def test_a_failed_writer_child_exits_2_and_leaves_no_file(
+        tmp_path, small_cohort, capsys, monkeypatch):
+    """A forked writer that fails surfaces like any unwritable output:
+    one stderr line, exit 2, no temp file and no child left behind."""
+    parent = os.getpid()
+    format_rows = csvfile._format
+
+    def failing_in_children(fh, rows, start, stop):
+        if os.getpid() != parent:
+            raise OSError(28, "No space left on device")
+        format_rows(fh, rows, start, stop)
+
+    monkeypatch.setattr(csvfile, "_format", failing_in_children)
+    monkeypatch.setattr(csvfile, "_cpus", lambda: 2)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--data", str(small_cohort), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "No space left on device" in err[0]
+    assert err[0].startswith("wavescat report: error: formatting rows ")
+    assert list(out.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to compare against one")
+def test_report_bytes_do_not_depend_on_the_cpu_count(tmp_path,
+                                                     small_cohort):
+    """``report`` pinned to one CPU and run on every CPU writes the same
+    bytes; its CSVs are large enough to be split across CPUs."""
+    run = ("import os, sys\n"
+           "cpus = sorted(os.sched_getaffinity(0))\n"
+           "os.sched_setaffinity(0, cpus[:int(sys.argv[1]) or None])\n"
+           "from wavescat.cli import main\n"
+           "sys.exit(main(sys.argv[2:]))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for cpus in ("1", "0"):
+        subprocess.run([sys.executable, "-c", run, cpus, "report",
+                        "--data", str(small_cohort), "--voices", "4",
+                        "--out", str(tmp_path / cpus)],
+                       env=env, check=True, timeout=120,
+                       stdout=subprocess.DEVNULL)
+    names = sorted(os.listdir(tmp_path / "1"))
+    assert names == sorted(os.listdir(tmp_path / "0"))
+    assert len([n for n in names if n.endswith(".csv")]) == 5
+    assert tree_digest(tmp_path / "1") == tree_digest(tmp_path / "0")
 
 
 def test_per_rat_keeps_long_rat_ids_apart(tmp_path):

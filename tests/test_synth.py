@@ -22,6 +22,8 @@ def test_spec_validation():
         with pytest.raises(DataError, match=f"{name} must be non-negative"):
             SynthSpec(**{name: -2})
     assert [g for _, g in SynthSpec(rats_food=0).rats()].count(Group.FOOD) == 0
+    with pytest.raises(DataError, match="at least one rat"):
+        SynthSpec(rats_saline=0, rats_morphine=0, rats_food=0)
 
 
 def test_cohort_layout_and_naming(tmp_path):
