@@ -5,8 +5,8 @@ from .metrics import (ConfusionMatrix, confusion_from_counts_csv,
 from .mlp import MlpModel, loss_and_grad, predict_mlp, train_mlp
 from .svm import (OvaSvmModel, decision_values_svm, predict_svm,
                   train_svm_ova)
-from .tree import (DecisionTreeModel, TreeNode, predict_tree,
-                   train_tree, tree_complexity)
+from .tree import (DecisionTreeModel, predict_tree, train_tree,
+                   tree_complexity)
 
 __all__ = [
     "Dataset", "predict", "run_kfold",
@@ -14,6 +14,5 @@ __all__ = [
     "confusion_to_csv",
     "MlpModel", "loss_and_grad", "predict_mlp", "train_mlp",
     "OvaSvmModel", "decision_values_svm", "predict_svm", "train_svm_ova",
-    "DecisionTreeModel", "TreeNode", "predict_tree", "train_tree",
-    "tree_complexity",
+    "DecisionTreeModel", "predict_tree", "train_tree", "tree_complexity",
 ]

@@ -93,13 +93,16 @@ def confusion_from_counts_csv(path) -> ConfusionMatrix:
         if cells[0] in names:
             cells = cells[1:]
         try:
-            counts = [int(float(c)) for c in cells[:k]]
-        except (ValueError, OverflowError):
+            counts = [float(c) for c in cells[:k]]
+        except ValueError:
             counts = []
         if len(counts) != k:
             raise DataError(f"{path} line {number}: expected {k} numeric "
                             f"counts, got {ln!r}")
-        rows.append(counts)
+        if not all(c.is_integer() for c in counts):
+            raise DataError(f"{path} line {number}: counts must be whole "
+                            f"numbers, got {ln!r}")
+        rows.append([int(c) for c in counts])
     if len(rows) != k:
         raise DataError(f"expected {k} count rows, found {len(rows)}")
     return ConfusionMatrix(np.array(rows, dtype=np.int64), names)

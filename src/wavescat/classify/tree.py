@@ -17,42 +17,22 @@ from .data import Dataset
 
 
 @dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    class_id: int = -1
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-@dataclass
 class DecisionTreeModel:
-    root: TreeNode
+    """Parallel node arrays, root first, children after their parent.
+
+    Node ``i`` sends a row to ``left[i]`` when its value of
+    ``feature[i]`` is below ``threshold[i]`` and to ``right[i]``
+    otherwise, NaN included. A leaf has feature -1, is its own left and
+    right child, and predicts ``class_id[i]``, the majority class of its
+    training rows. ``depth[i]`` counts the edges from the root.
+    """
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    class_id: np.ndarray
+    depth: np.ndarray
     n_features: int
-    n_classes: int
-
-
-def _majority(labels: np.ndarray, n_classes: int) -> int:
-    return int(np.argmax(np.bincount(labels, minlength=n_classes)))
-
-
-def _grow(x, y, n_classes, depth, max_depth, min_leaf):
-    if depth >= max_depth or y.size < 2 * min_leaf or np.all(y == y[0]):
-        return TreeNode(class_id=_majority(y, n_classes))
-    _, thr, f = _kernels.best_split_column(x, y, n_classes, min_leaf)
-    if f < 0:
-        return TreeNode(class_id=_majority(y, n_classes))
-    mask = x[:, f] < thr
-    return TreeNode(
-        feature=f,
-        threshold=thr,
-        left=_grow(x[mask], y[mask], n_classes, depth + 1, max_depth, min_leaf),
-        right=_grow(x[~mask], y[~mask], n_classes, depth + 1, max_depth, min_leaf),
-    )
 
 
 def train_tree(data: Dataset, max_depth: int = 12,
@@ -70,40 +50,47 @@ def train_tree(data: Dataset, max_depth: int = 12,
         raise DataError("min_leaf must be at least 1")
     if data.n_samples == 0:
         raise DataError("empty dataset")
-    root = _grow(data.features, data.labels, data.n_classes, 0,
-                 max_depth, min_leaf)
-    return DecisionTreeModel(root, data.n_features, data.n_classes)
+    n_classes = data.n_classes
+    nodes = []              # [feature, threshold, left, right, class, depth]
+
+    def grow(x, y, depth):
+        at = len(nodes)
+        node = [-1, 0.0, at, at,
+                int(np.argmax(np.bincount(y, minlength=n_classes))), depth]
+        nodes.append(node)
+        if depth < max_depth and y.size >= 2 * min_leaf and np.any(y != y[0]):
+            _, thr, f = _kernels.best_split_column(x, y, n_classes, min_leaf)
+            if f >= 0:
+                mask = x[:, f] < thr
+                node[:4] = (f, thr, grow(x[mask], y[mask], depth + 1),
+                            grow(x[~mask], y[~mask], depth + 1))
+        return at
+
+    grow(data.features, data.labels, 0)
+    return DecisionTreeModel(*map(np.array, zip(*nodes)), data.n_features)
 
 
 def predict_tree(model: DecisionTreeModel, features: np.ndarray) -> np.ndarray:
-    """Route rows down the tree; left branch when value < threshold."""
+    """Move every row down one level per step; left when value < threshold.
+
+    A row at a leaf stays there: it reads column -1, whatever its value,
+    and both children are the leaf itself.
+    """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if features.shape[1] != model.n_features:
         raise DataError(f"expected {model.n_features} features, "
                         f"got {features.shape[1]}")
-    out = np.empty(features.shape[0], dtype=np.int64)
-    for i, row in enumerate(features):
-        node = model.root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] < node.threshold else node.right
-        out[i] = node.class_id
-    return out
+    rows = np.arange(features.shape[0])
+    node = np.zeros(features.shape[0], dtype=np.int64)
+    for _ in range(model.depth.max()):
+        below = features[rows, model.feature[node]] < model.threshold[node]
+        node = np.where(below, model.left[node], model.right[node])
+    return model.class_id[node]
 
 
 def tree_complexity(model: DecisionTreeModel) -> dict:
     """Node/leaf/depth counts plus a Low/Mid/High grade by leaf count."""
-    nodes = leaves = 0
-    max_depth = 0
-    stack = [(model.root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        nodes += 1
-        max_depth = max(max_depth, depth)
-        if node.is_leaf:
-            leaves += 1
-        else:
-            stack.append((node.left, depth + 1))
-            stack.append((node.right, depth + 1))
+    leaves = int(np.count_nonzero(model.feature < 0))
     grade = "Low" if leaves <= 8 else ("Mid" if leaves <= 32 else "High")
-    return {"nodes": nodes, "leaves": leaves, "depth": max_depth,
-            "grade": grade}
+    return {"nodes": int(model.feature.size), "leaves": leaves,
+            "depth": int(model.depth.max()), "grade": grade}

@@ -27,7 +27,8 @@ import numpy as np
 from .classify import (Dataset, confusion_from_counts_csv, confusion_stats,
                        confusion_to_csv, run_kfold, train_mlp, train_svm_ova,
                        train_tree, tree_complexity)
-from .coherence import SmoothingSpec, coherence, phase_overlay, overlay_to_csv
+from .coherence import (SmoothingSpec, check_threshold, coherence,
+                        overlay_to_csv, phase_overlay)
 from .csvfile import write_csv
 from .cwt import cwt, scalogram_magnitude, scalogram_to_csv
 from .errors import DataError, NumericalError
@@ -457,6 +458,7 @@ def cmd_joint(cfg: Config):
 
 def cmd_report(cfg: Config):
     _smoothing(cfg, record=False)
+    check_threshold(cfg.peek("threshold"))
     sessions = load_sessions(_bundle_paths(cfg.get("data")))
     rat = cfg.get("rat")
     if rat:

@@ -126,11 +126,16 @@ def coherence(cx: Scalogram, cy: Scalogram, spec: SmoothingSpec) -> CoherenceMap
     )
 
 
+def check_threshold(threshold: float) -> None:
+    """Refuse an overlay threshold outside [0, 1]."""
+    if not (0.0 <= threshold <= 1.0):
+        raise DataError(f"threshold must lie in [0, 1], got {threshold}")
+
+
 def phase_overlay(cmap: CoherenceMap, threshold: float) -> list[tuple]:
     """(time, freq_hz, phase_rad) records where coherence > threshold on
     a grid of about 16 scales by 64 times, scale by scale."""
-    if not (0.0 <= threshold <= 1.0):
-        raise DataError("threshold must lie in [0, 1]")
+    check_threshold(threshold)
     n_s, n_t = cmap.coherence.shape
     rows = slice(None, None, max(1, n_s // 16))
     cols = slice(None, None, max(1, n_t // 64))

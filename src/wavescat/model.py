@@ -234,6 +234,10 @@ def load_session(path) -> RecordingSession:
         if count < 1:
             raise BundleFormatError(f"{key} must be positive, got {count}",
                                     line=fields[key][1])
+    rat, rat_line = fields["rat"]
+    # a rat id names output files, so it must stay one plain file name
+    if rat in ("", ".", "..") or "/" in rat or "\\" in rat:
+        raise BundleFormatError(f"bad rat id {rat!r}", line=rat_line)
     group_tok, group_line = fields["group"]
     phase_tok, phase_line = fields["phase"]
     try:
@@ -282,7 +286,7 @@ def load_session(path) -> RecordingSession:
             hip=TimeSeries(hip.copy(), fs, Channel.HIP),
             nac=TimeSeries(nac.copy(), fs, Channel.NAC),
             track=track,
-            rat_id=fields["rat"][0],
+            rat_id=rat,
             group=group,
             phase=phase,
         )

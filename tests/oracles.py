@@ -5,11 +5,12 @@ bracketing search plus parabolic refinement, the reference CWT is a
 direct O(N^2) DFT evaluation, smoothing is a literal double loop (the
 scale boxcar also has the former kernel, which concatenates a zero row
 to a separate cumulative sum), the CART split scan sorts and scores one
-feature column at a time, the phase overlay tests one grid cell at a
-time, a bundle's track records are checked and a track held one record
-at a time, whole groups are dealt into folds by a name-to-fold map, the
-SVM solver computes ``X @ w`` twice per epoch and the sigmoid splits its
-input by boolean masks. Two references are exceptions. The window
+feature column at a time, a tree is descended one row at a time, the
+phase overlay tests one grid cell at a time, a bundle's track records
+are checked and a track held one record at a time, whole groups are
+dealt into folds by a name-to-fold map, the SVM solver computes
+``X @ w`` twice per epoch and the sigmoid splits its input by boolean
+masks. Two references are exceptions. The window
 reductions run the library's CWT and coherence, then test each hop-grid
 start and reduce each window on its own, one Python iteration per
 window. The scattering reference builds the library's filter banks,
@@ -184,6 +185,20 @@ def split_scan_by_column(x, y, n_classes, min_leaf=1):
         if ok and gain > best[0]:
             best = (gain, thr, f)
     return best
+
+
+def predict_tree_by_row(model, features):
+    """Class ids of a ``DecisionTreeModel``, one row at a time: from the
+    root, go left while the value is below the threshold (so NaN goes
+    right) until a node with feature -1."""
+    out = np.empty(len(features), dtype=np.int64)
+    for i, row in enumerate(features):
+        node = 0
+        while model.feature[node] >= 0:
+            below = row[model.feature[node]] < model.threshold[node]
+            node = model.left[node] if below else model.right[node]
+        out[i] = model.class_id[node]
+    return out
 
 
 def chamber_windows_by_start(session, window_len, hop):

@@ -334,6 +334,10 @@ def test_invalid_classifier_settings_exit_3(tmp_path, small_cohort, capsys,
       "--rats-food", "0"], "the cohort needs at least one rat"),
     (["chambers", "--source", "all", "--c-t", "-4"],
      "c_t must be non-negative, got -4.0"),
+    (["report", "--threshold", "1.5"],
+     "threshold must lie in [0, 1], got 1.5"),
+    (["report", "--threshold", "-0.1"],
+     "threshold must lie in [0, 1], got -0.1"),
 ])
 def test_negative_counts_and_smoothing_exit_3(tmp_path, small_cohort, capsys,
                                              argv, message):
@@ -344,6 +348,22 @@ def test_negative_counts_and_smoothing_exit_3(tmp_path, small_cohort, capsys,
     err = capsys.readouterr().err.splitlines()
     assert err == [f"data error: {message}"]
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_report_refuses_a_rat_id_that_leaves_out(tmp_path, capsys):
+    """A bundle whose rat id holds a path exits 3 before any output, so
+    nothing is written beside or above ``--out``."""
+    data = tmp_path / "data"
+    data.mkdir()
+    save_session(make_session(np.zeros(1000) + 1.0, np.zeros(1000) + 1.0,
+                              rat="../escaped", phase=Phase.PRE),
+                 data / "escaped_food_pre.wscat")
+    out = tmp_path / "out2" / "inner"
+    assert main(["report", "--data", str(data), "--out", str(out),
+                 "--phase", "pre"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["data error: bad rat id '../escaped' (line 3)"]
+    assert not (tmp_path / "out2").exists()
 
 
 def test_an_unwritable_out_exits_2_with_one_line(tmp_path, small_cohort,
@@ -434,7 +454,7 @@ def test_per_rat_keeps_long_rat_ids_apart(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("row", ["a,3,x", "a,3"])
+@pytest.mark.parametrize("row", ["a,3,x", "a,3", "a,3.7,1", "a,-0.5,1"])
 def test_bad_counts_row_exits_3_naming_the_line(tmp_path, capsys, row):
     counts = tmp_path / "counts.csv"
     counts.write_text(f"# hand-made\nclass,a,b\n{row}\nb,1,4\n")

@@ -63,3 +63,10 @@ def test_csv_roundtrip(tmp_path):
     stats = confusion_stats(again)
     emitted_tpr = [float(line.split(",")[13]) for line in text[2:14]]
     assert np.allclose(stats["tpr"], emitted_tpr, atol=1e-9)
+
+
+def test_whole_number_float_counts_are_read(tmp_path):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("class,a,b\na,12.0,1\nb,1,4e0\n")
+    assert confusion_from_counts_csv(counts).counts.tolist() == [[12, 1],
+                                                                  [1, 4]]

@@ -63,6 +63,17 @@ def test_header_errors_carry_line_numbers(tmp_path):
         load_session(path)
 
 
+@pytest.mark.parametrize("rat", ["", ".", "..", "../escaped", "a/b",
+                                 "a\\b"])
+def test_rat_id_that_is_not_a_plain_file_name_is_refused(tmp_path, rat):
+    path = tmp_path / "s.wscat"
+    save_session(make_session(np.zeros(10) + 1.0, np.zeros(10) + 1.0,
+                              rat=rat), path)
+    with pytest.raises(BundleFormatError) as exc:
+        load_session(path)
+    assert str(exc.value) == f"bad rat id {rat!r} (line 3)"
+
+
 def test_time_series_rate_must_be_positive_and_finite():
     for fs in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(DataError, match="fs must be positive and finite"):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavescat import _kernels
 from wavescat.classify import (Dataset, predict_tree, train_tree,
                                tree_complexity)
-from wavescat.classify.tree import DecisionTreeModel, TreeNode
+from wavescat.classify.tree import DecisionTreeModel
 from wavescat.errors import DataError
 
-from oracles import split_scan_by_column
+from oracles import predict_tree_by_row, split_scan_by_column
 
 
 def make(features, labels, names=("A", "B", "C")):
@@ -20,7 +22,7 @@ def make(features, labels, names=("A", "B", "C")):
 def test_single_class_single_leaf():
     data = make([[0.0], [1.0], [2.0]], [1, 1, 1])
     model = train_tree(data, max_depth=5)
-    assert model.root.is_leaf and model.root.class_id == 1
+    assert model.feature[0] == -1 and model.class_id[0] == 1
     assert (predict_tree(model, data.features) == 1).all()
     assert tree_complexity(model) == {"nodes": 1, "leaves": 1, "depth": 0,
                                       "grade": "Low"}
@@ -45,11 +47,12 @@ def test_xor_needs_depth_two():
 def test_linearly_separable_single_split():
     data = make([[-1.0]] * 10 + [[1.0]] * 10, [0] * 10 + [1] * 10)
     model = train_tree(data, max_depth=6)
-    assert not model.root.is_leaf
-    assert model.root.feature == 0
-    assert model.root.threshold == pytest.approx(0.0)
-    assert model.root.left.is_leaf and model.root.right.is_leaf
-    assert model.root.left.class_id == 0
+    assert model.feature[0] != -1
+    assert model.feature[0] == 0
+    assert model.threshold[0] == pytest.approx(0.0)
+    left, right = model.left[0], model.right[0]
+    assert model.feature[left] == -1 and model.feature[right] == -1
+    assert model.class_id[left] == 0
 
 
 def test_min_leaf_respected():
@@ -58,46 +61,94 @@ def test_min_leaf_respected():
                 names=("A", "B"))
     model = train_tree(data, max_depth=10, min_leaf=5)
 
-    def check(node, x_mask, features):
-        if node.is_leaf:
+    def check(i, x_mask, features):
+        if model.feature[i] == -1:
             assert x_mask.sum() >= 5
             return
-        left = x_mask & (features[:, node.feature] < node.threshold)
-        right = x_mask & ~(features[:, node.feature] < node.threshold)
-        check(node.left, left, features)
-        check(node.right, right, features)
+        below = features[:, model.feature[i]] < model.threshold[i]
+        check(model.left[i], x_mask & below, features)
+        check(model.right[i], x_mask & ~below, features)
 
-    check(model.root, np.ones(40, dtype=bool), data.features)
+    check(0, np.ones(40, dtype=bool), data.features)
 
 
-def leaf(cid):
-    return TreeNode(class_id=cid)
+def flat_tree(spec, n_features):
+    """A model from a nested spec: a class id is a leaf, and
+    (feature, threshold, left spec, right spec) a split. Nodes are laid
+    out as ``train_tree`` lays them out: depth first, left before right,
+    each leaf its own two children."""
+    rows = []               # [feature, threshold, left, right, class, depth]
+
+    def add(spec, depth):
+        at = len(rows)
+        rows.append([-1, 0.0, at, at, 0, depth])
+        if isinstance(spec, tuple):
+            f, thr, left, right = spec
+            rows[at][:4] = f, thr, add(left, depth + 1), add(right, depth + 1)
+        else:
+            rows[at][4] = spec
+        return at
+
+    add(spec, 0)
+    return DecisionTreeModel(*map(np.array, zip(*rows)), n_features)
 
 
 def perfect_tree(depth, feature=0):
     if depth == 0:
-        return leaf(0)
-    return TreeNode(feature=feature, threshold=0.5,
-                    left=perfect_tree(depth - 1), right=perfect_tree(depth - 1))
+        return 0
+    return (feature, 0.5, perfect_tree(depth - 1), perfect_tree(depth - 1))
 
 
 def test_complexity_grades():
-    four = DecisionTreeModel(perfect_tree(4), 1, 2)
+    four = flat_tree(perfect_tree(4), 1)
     assert tree_complexity(four) == {"nodes": 31, "leaves": 16, "depth": 4,
                                      "grade": "Mid"}
-    six = DecisionTreeModel(perfect_tree(6), 1, 2)
+    six = flat_tree(perfect_tree(6), 1)
     c = tree_complexity(six)
     assert c["leaves"] == 64 and c["grade"] == "High"
-    shallow = DecisionTreeModel(perfect_tree(3), 1, 2)
+    shallow = flat_tree(perfect_tree(3), 1)
     assert tree_complexity(shallow)["grade"] == "Low"
 
 
 def test_predict_strict_less_goes_left():
-    root = TreeNode(feature=0, threshold=0.5, left=leaf(1), right=leaf(0))
-    model = DecisionTreeModel(root, 1, 2)
+    model = flat_tree((0, 0.5, 1, 0), 1)
     assert predict_tree(model, [[0.4]])[0] == 1
     assert predict_tree(model, [[0.5]])[0] == 0
     assert predict_tree(model, [[0.6]])[0] == 0
+
+
+LEVELS = (-1.0, 0.0, 0.5, 1.0)
+
+
+@st.composite
+def tree_specs(draw, n_features, depth=0):
+    if depth == 6 or draw(st.booleans()):
+        return draw(st.integers(0, 3))
+    return (draw(st.integers(0, n_features - 1)),
+            draw(st.sampled_from(LEVELS)),
+            draw(tree_specs(n_features, depth + 1)),
+            draw(tree_specs(n_features, depth + 1)))
+
+
+@st.composite
+def trees_and_rows(draw):
+    """A random tree and rows whose values often equal a threshold or
+    are NaN."""
+    n_features = draw(st.integers(1, 4))
+    model = flat_tree(draw(tree_specs(n_features)), n_features)
+    n = draw(st.integers(0, 20))
+    cells = draw(st.lists(st.sampled_from(LEVELS + (np.nan,)),
+                          min_size=n * n_features, max_size=n * n_features))
+    return model, np.array(cells, dtype=np.float64).reshape(n, n_features)
+
+
+@given(trees_and_rows())
+@settings(max_examples=300, deadline=None)
+def test_predict_equals_per_row_descent(case):
+    model, rows = case
+    got = predict_tree(model, rows)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, predict_tree_by_row(model, rows))
 
 
 def test_monotone_feature_transform_leaves_predictions_unchanged():
@@ -119,15 +170,15 @@ def test_tie_break_prefers_lowest_feature():
         x = np.repeat([[0.0], [1.0], [2.0], [3.0]], copies, axis=1)
         data = make(x, [0, 0, 1, 1], names=("A", "B"))
         model = train_tree(data, 3)
-        assert model.root.feature == 0
+        assert model.feature[0] == 0
 
 
-def nodes(node):
-    """(feature, threshold, class_id) of every node, depth first."""
-    out = [(node.feature, node.threshold, node.class_id)]
-    if not node.is_leaf:
-        out += nodes(node.left) + nodes(node.right)
-    return out
+def nodes(model):
+    """(feature, threshold, left, right, class_id, depth) of every node,
+    in the model's order."""
+    return list(zip(model.feature.tolist(), model.threshold.tolist(),
+                    model.left.tolist(), model.right.tolist(),
+                    model.class_id.tolist(), model.depth.tolist()))
 
 
 def test_tree_equals_tree_grown_with_per_column_scan(monkeypatch):
@@ -140,8 +191,9 @@ def test_tree_equals_tree_grown_with_per_column_scan(monkeypatch):
     got = train_tree(data, max_depth=8, min_leaf=3)
     monkeypatch.setattr(_kernels, "best_split_column", split_scan_by_column)
     expected = train_tree(data, max_depth=8, min_leaf=3)
-    assert nodes(got.root) == nodes(expected.root)
-    assert len(nodes(got.root)) > 7
+    assert nodes(got) == nodes(expected)
+    assert len(nodes(got)) > 7
+    assert np.array_equal(predict_tree(got, x), predict_tree_by_row(got, x))
 
 
 def test_predict_width_mismatch():

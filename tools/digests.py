@@ -67,6 +67,9 @@ RUNS = [
     # 27 of its 36 SVM machines meet tol early and 9 run to the limit
     ("A", "joint --seed 1 --tol 0.5 --max-iter 2000 --k 3"),
     ("A", "joint --seed 1 --shuffle-labels --k 3"),
+    # stumps: every prediction is a one-step descent
+    ("A", "chambers --seed 1 --group food --model dt --source hip "
+          "--max-depth 1"),
 ]
 
 TOKEN = "<RUN>"
