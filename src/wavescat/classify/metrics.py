@@ -69,6 +69,20 @@ def confusion_to_csv(m: ConfusionMatrix, path, config_line: str = "") -> None:
               config_line)
 
 
+def _count(text: str):
+    """A count cell: an exact int for whole-number text (``12``, ``12.0``,
+    ``1e30``), the float for other numbers, None for non-numbers."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return int(value) if value.is_integer() else value
+
+
 def confusion_from_counts_csv(path) -> ConfusionMatrix:
     """Read a counts CSV: class-name header row, one named count row per
     class (extra columns beyond the counts are ignored)."""
@@ -88,21 +102,23 @@ def confusion_from_counts_csv(path) -> ConfusionMatrix:
     else:
         names = [h for h in header if h]
     k = len(names)
+    total = 0
     for number, ln in lines[1:1 + k]:
         cells = ln.split(",")
         if cells[0] in names:
             cells = cells[1:]
-        try:
-            counts = [float(c) for c in cells[:k]]
-        except ValueError:
-            counts = []
-        if len(counts) != k:
+        counts = [_count(c) for c in cells[:k]]
+        if len(counts) != k or None in counts:
             raise DataError(f"{path} line {number}: expected {k} numeric "
                             f"counts, got {ln!r}")
-        if not all(c.is_integer() for c in counts):
+        if not all(isinstance(c, int) for c in counts):
             raise DataError(f"{path} line {number}: counts must be whole "
                             f"numbers, got {ln!r}")
-        rows.append([int(c) for c in counts])
+        total += sum(map(abs, counts))
+        if total > np.iinfo(np.int64).max:
+            raise DataError(f"{path} line {number}: the counts total more "
+                            f"than int64 holds, got {ln!r}")
+        rows.append(counts)
     if len(rows) != k:
         raise DataError(f"expected {k} count rows, found {len(rows)}")
     return ConfusionMatrix(np.array(rows, dtype=np.int64), names)

@@ -6,10 +6,12 @@ also come from a ``key=value`` config file (``--config``); explicit
 flags win. ``OPTIONS`` lists each option once and generates the flags,
 the ``--help`` defaults and the config-file casts. A config key must
 name an option of some command; keys of other commands are ignored, so
-one file can serve every command. All outputs embed the resolved
-configuration in a ``# wavescat-config:`` header line and are written
-atomically (temp file + rename), so re-running a command with the same
-configuration reproduces every output byte for byte.
+one file can serve every command. A command reads every option and
+computes every result before it writes its first file, so a failed run
+writes none, and every output of a run embeds the same resolved
+configuration in a ``# wavescat-config:`` header line. Each file is
+written atomically (temp file + rename), so re-running a command with
+the same configuration reproduces every output byte for byte.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import numpy as np
 from .classify import (Dataset, confusion_from_counts_csv, confusion_stats,
                        confusion_to_csv, run_kfold, train_mlp, train_svm_ova,
                        train_tree, tree_complexity)
-from .coherence import (SmoothingSpec, check_threshold, coherence,
-                        overlay_to_csv, phase_overlay)
+from .coherence import (SmoothingSpec, coherence, overlay_to_csv,
+                        phase_overlay)
 from .csvfile import write_csv
 from .cwt import cwt, scalogram_magnitude, scalogram_to_csv
 from .errors import DataError, NumericalError
@@ -203,16 +205,11 @@ class Config:
                 raise UsageError(f"{opt.flag} is required")
         self.resolved = {}
 
-    def peek(self, key):
-        """The value ``get`` would return, left out of ``line``."""
-        value = getattr(self.args, key)
-        if value is None:
-            value = self.file_values.get(key, OPTIONS[key].default)
-        return value
-
     def get(self, key):
         opt = OPTIONS[key]
-        value = self.peek(key)
+        value = getattr(self.args, key)
+        if value is None:
+            value = self.file_values.get(key, opt.default)
         if opt.record == "always" or (opt.record == "set"
                                       and value != opt.default):
             self.resolved[key] = value
@@ -277,12 +274,8 @@ def _bank_config(cfg: Config) -> BankConfig:
                       fmin=cfg.get("fmin"), fmax=cfg.get("fmax"))
 
 
-def _smoothing(cfg: Config, record: bool = True) -> SmoothingSpec:
-    """``record=False`` checks the widths before the first output without
-    adding them to the config line of the outputs written before the
-    command reads them."""
-    read = cfg.get if record else cfg.peek
-    return SmoothingSpec(c_t=read("c_t"), c_s=read("c_s"))
+def _smoothing(cfg: Config) -> SmoothingSpec:
+    return SmoothingSpec(c_t=cfg.get("c_t"), c_s=cfg.get("c_s"))
 
 
 def _scatter_params(cfg: Config, fs: float) -> ScatteringParams:
@@ -361,8 +354,7 @@ def cmd_chambers(cfg: Config):
     groups = ([Group.FOOD, Group.MORPHINE, Group.SALINE]
               if group_tok == "all" else [Group(group_tok)])
     per_rat = cfg.get("per_rat")
-    if "wcoh" in sources:
-        _smoothing(cfg, record=False)
+    smoothing = _smoothing(cfg) if "wcoh" in sources else None
     out_dir = cfg.get("out")
     # only the sessions that give rows are transformed
     sessions = [s for s in load_sessions(_bundle_paths(cfg.get("data")))
@@ -371,12 +363,10 @@ def cmd_chambers(cfg: Config):
         raise DataError(f"no segments for group {groups[0].value}")
 
     os.makedirs(out_dir, exist_ok=True)
-    accuracy = {}
-    complexity = {}
+    matrices, complexity = {}, {}
     for source in sources:
         if source == "wcoh":
-            table = wcoh_table(sessions, window, hop, bank_cfg,
-                               _smoothing(cfg))
+            table = wcoh_table(sessions, window, hop, bank_cfg, smoothing)
         else:
             table = cwt_table(sessions, Channel(source), window, hop,
                               bank_cfg)
@@ -385,28 +375,30 @@ def cmd_chambers(cfg: Config):
             rats = (table.segments["rat"][group_rows(table, group, phases)]
                     if per_rat else None)
             matrix = run_kfold(data, k, fit, seed, groups=rats)
-            stats = confusion_stats(matrix)
-            accuracy[(source, group.value)] = stats["micro"]
-            out = os.path.join(out_dir, f"confusion_{source}_{group.value}.csv")
-            _atomic(out, lambda p, m=matrix: confusion_to_csv(m, p, cfg.line()))
+            matrices[(source, group.value)] = matrix, confusion_stats(matrix)
             if is_tree:
                 complexity[(source, group.value)] = tree_complexity(
                     fit(data, seed))
-            print(f"chambers {source}/{group.value}: "
-                  f"micro={stats['micro']:.2f}% macro={stats['macro']:.2f}%")
 
-    rows = [[source] + [accuracy[(source, g.value)] for g in groups]
+    line = cfg.line()
+    for (source, group), (matrix, stats) in matrices.items():
+        out = os.path.join(out_dir, f"confusion_{source}_{group}.csv")
+        _atomic(out, lambda p, m=matrix: confusion_to_csv(m, p, line))
+        print(f"chambers {source}/{group}: "
+              f"micro={stats['micro']:.2f}% macro={stats['macro']:.2f}%")
+    rows = [[source] + [matrices[(source, g.value)][1]["micro"]
+                        for g in groups]
             for source in sources]
     _atomic(os.path.join(out_dir, "chambers_accuracy.csv"),
             lambda p: write_csv(p, ["source"] + [g.value for g in groups],
-                                rows, cfg.line()))
+                                rows, line))
     if complexity:
         rows = [[source, group, c["nodes"], c["leaves"], c["depth"],
                  c["grade"]]
                 for (source, group), c in sorted(complexity.items())]
         _atomic(os.path.join(out_dir, "chambers_complexity.csv"),
                 lambda p: write_csv(p, ["source", "group", "nodes", "leaves",
-                                        "depth", "grade"], rows, cfg.line()))
+                                        "depth", "grade"], rows, line))
     return 0
 
 
@@ -457,8 +449,7 @@ def cmd_joint(cfg: Config):
 
 
 def cmd_report(cfg: Config):
-    _smoothing(cfg, record=False)
-    check_threshold(cfg.peek("threshold"))
+    smoothing, threshold = _smoothing(cfg), cfg.get("threshold")
     sessions = load_sessions(_bundle_paths(cfg.get("data")))
     rat = cfg.get("rat")
     if rat:
@@ -471,33 +462,29 @@ def cmd_report(cfg: Config):
     bank = _bank_config(cfg).bank(session.hip.samples.size, session.fs)
     out_dir = cfg.get("out")
     os.makedirs(out_dir, exist_ok=True)
-    stem = f"{session.rat_id}_{session.phase.value}"
-    scal = {}
-    for chan in (Channel.HIP, Channel.NAC):
-        scal[chan] = cwt(session.channel(chan), bank)
-        mag = scalogram_magnitude(scal[chan])
-        base = os.path.join(out_dir, f"{stem}_{chan.value}_scalogram")
-        _atomic(base + ".csv",
-                lambda p, m=mag, s=scal[chan]: scalogram_to_csv(
-                    m, s.scale_axis, s.time_axis, p, cfg.line()))
-        _atomic(base + ".pgm",
-                lambda p, m=mag: write_pgm(p, to_gray(m),
-                                           f"wavescat-config: {cfg.line()}"))
-    cmap = coherence(scal[Channel.HIP], scal[Channel.NAC], _smoothing(cfg))
-    base = os.path.join(out_dir, f"{stem}_wcoh")
-    _atomic(base + ".csv",
-            lambda p: scalogram_to_csv(cmap.coherence, cmap.scale_axis,
-                                       cmap.time_axis, p, cfg.line()))
+    hip, nac = cwt(session.hip, bank), cwt(session.nac, bank)
+    cmap = coherence(hip, nac, smoothing)
+    mag_hip, mag_nac = scalogram_magnitude(hip), scalogram_magnitude(nac)
+    del hip, nac    # freed before the CSV writers fork their children
+    images = [("hip_scalogram", mag_hip, to_gray(mag_hip)),
+              ("nac_scalogram", mag_nac, to_gray(mag_nac)),
+              ("wcoh", cmap.coherence, to_gray(cmap.coherence, 0.0, 1.0))]
     phase_mat = np.where(np.isfinite(cmap.phase), cmap.phase, 0.0)
-    _atomic(base + "_phase.csv",
-            lambda p: scalogram_to_csv(phase_mat, cmap.scale_axis,
-                                       cmap.time_axis, p, cfg.line()))
-    _atomic(base + ".pgm",
-            lambda p: write_pgm(p, to_gray(cmap.coherence, 0.0, 1.0),
-                                f"wavescat-config: {cfg.line()}"))
-    records = phase_overlay(cmap, cfg.get("threshold"))
-    _atomic(base + "_overlay.csv",
-            lambda p: overlay_to_csv(records, p, cfg.line()))
+    records = phase_overlay(cmap, threshold)
+
+    line = cfg.line()
+    stem = f"{session.rat_id}_{session.phase.value}"
+    base = os.path.join(out_dir, stem)
+    axes = cmap.scale_axis, cmap.time_axis
+    for name, mat, gray in images:
+        _atomic(f"{base}_{name}.csv",
+                lambda p, m=mat: scalogram_to_csv(m, *axes, p, line))
+        _atomic(f"{base}_{name}.pgm",
+                lambda p, g=gray: write_pgm(p, g, f"wavescat-config: {line}"))
+    _atomic(f"{base}_wcoh_phase.csv",
+            lambda p: scalogram_to_csv(phase_mat, *axes, p, line))
+    _atomic(f"{base}_wcoh_overlay.csv",
+            lambda p: overlay_to_csv(records, p, line))
     print(f"report for {stem}: {len(records)} overlay records")
     return 0
 

@@ -29,7 +29,7 @@ EPS_DEN_REL = 1e-12
 class SmoothingSpec:
     """Boxcar widths: ~``c_t`` cycles along time, ``c_s`` octave across
     scale; both non-negative, and a width that rounds below one sample
-    or voice is one."""
+    or voice is one. A width that int64 cannot hold is refused."""
 
     c_t: float = 2.0
     c_s: float = 0.6
@@ -41,10 +41,15 @@ class SmoothingSpec:
                 raise DataError(f"{name} must be non-negative, got {width}")
 
     def widths(self, scale_axis, fs, voices_per_octave):
-        tw = np.maximum(1, np.round(self.c_t * fs / np.asarray(scale_axis))
-                        .astype(np.int64))
-        sw = max(1, int(round(self.c_s * voices_per_octave)))
-        return tw, sw
+        with np.errstate(over="ignore"):
+            tw = np.round(self.c_t * fs / np.asarray(scale_axis))
+            sw = np.round(self.c_s * voices_per_octave)
+        for name, width in (("c_t", tw.max(initial=0.0)), ("c_s", sw)):
+            if not width < 2.0 ** 63:
+                raise DataError(f"{name}={getattr(self, name)} gives a "
+                                f"smoothing width of {width:g}, too large "
+                                f"for int64")
+        return np.maximum(1, tw.astype(np.int64)), max(1, int(sw))
 
 
 @dataclass
@@ -126,16 +131,11 @@ def coherence(cx: Scalogram, cy: Scalogram, spec: SmoothingSpec) -> CoherenceMap
     )
 
 
-def check_threshold(threshold: float) -> None:
-    """Refuse an overlay threshold outside [0, 1]."""
-    if not (0.0 <= threshold <= 1.0):
-        raise DataError(f"threshold must lie in [0, 1], got {threshold}")
-
-
 def phase_overlay(cmap: CoherenceMap, threshold: float) -> list[tuple]:
     """(time, freq_hz, phase_rad) records where coherence > threshold on
     a grid of about 16 scales by 64 times, scale by scale."""
-    check_threshold(threshold)
+    if not (0.0 <= threshold <= 1.0):
+        raise DataError(f"threshold must lie in [0, 1], got {threshold}")
     n_s, n_t = cmap.coherence.shape
     rows = slice(None, None, max(1, n_s // 16))
     cols = slice(None, None, max(1, n_t // 64))

@@ -301,18 +301,19 @@ def chamber_windows(session: RecordingSession, window_len: float,
 
     Windows are [t, t + window_len) on the hop grid; any window whose
     samples span a chamber transition (or precede the first track fix)
-    is discarded.
+    is discarded. A hop longer than the session counts as the session
+    length: one window starts at sample 0.
     """
     if not (window_len > 0 and hop > 0):
         raise DataError("window_len and hop must be positive")
-    fs = session.fs
-    win = int(round(window_len * fs))
-    step = int(round(hop * fs))
+    fs, n = session.fs, session.hip.samples.size
+    # bounded before the cast, so no length overflows an int
+    win = int(round(min(window_len * fs, n + 1)))
+    step = int(round(min(hop * fs, n)))
     if win < 2:
         raise DataError("window shorter than two samples")
     if step < 1:
         raise DataError("hop shorter than one sample")
-    n = session.hip.samples.size
     if win > n:
         raise DataError("window longer than the session")
     codes = session.chamber_per_sample()

@@ -79,9 +79,11 @@ class ScatteringFeatures:
 
 
 def _support(row: np.ndarray, floor: float) -> int:
-    """Last bin of ``row`` whose magnitude exceeds ``floor`` x its peak."""
+    """Last bin of ``row`` whose magnitude exceeds ``floor`` x its peak,
+    -1 for a row that is zero on every bin."""
     mag = np.abs(row)
-    return int(np.flatnonzero(mag > floor * mag.max())[-1])
+    above = np.flatnonzero(mag > floor * mag.max())
+    return int(above[-1]) if above.size else -1
 
 
 def _tb_for_q(q: int, gamma: float) -> float:
@@ -125,6 +127,14 @@ class _Engine:
         filters2 = self._frame_normalized(self.bank2.filters)[:, :n // 2 + 1]
         support1 = [_support(row, SUPPORT_FLOOR) for row in filters1]
         support2 = [_support(row, SUPPORT_FLOOR) for row in filters2]
+        for layer, freqs, support in ((1, self.f1, support1),
+                                      (2, self.f2, support2)):
+            if -1 in support:
+                raise DataError(
+                    f"the layer-{layer} filter at "
+                    f"{freqs[support.index(-1)]:.4g} Hz is zero on every "
+                    f"bin of the {n}-point grid; use fewer voices or "
+                    f"longer windows")
         # Gaussian low-pass, unit DC gain
         sigma_samples = params.t * fs / 2.0
         k = np.arange(self.n)

@@ -89,6 +89,10 @@ class SynthSpec:
             raise DataError("session_len must be at least 10 s")
         if not self.fs >= 200.0:
             raise DataError("fs must be at least 200 Hz")
+        samples = self.session_len * self.fs
+        if not samples < 2.0 ** 63:
+            raise DataError(f"session_len * fs gives {samples:g} samples, "
+                            f"too many for int64")
         for name in ("rats_saline", "rats_morphine", "rats_food"):
             count = getattr(self, name)
             if count < 0:

@@ -323,6 +323,10 @@ def test_invalid_classifier_settings_exit_3(tmp_path, small_cohort, capsys,
     assert len(err) == 1 and message in err[0]
 
 
+IDENTITY = ("identity smoothing makes coherence trivially 1; widen the "
+            "time or scale kernel")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["synth", "--rats-food", "-2"], "rats_food must be non-negative, got -2"),
     (["features", "wcoh", "--c-t", "-4"],
@@ -338,6 +342,17 @@ def test_invalid_classifier_settings_exit_3(tmp_path, small_cohort, capsys,
      "threshold must lie in [0, 1], got 1.5"),
     (["report", "--threshold", "-0.1"],
      "threshold must lie in [0, 1], got -0.1"),
+    (["report", "--c-t", "0", "--c-s", "0"], IDENTITY),
+    (["chambers", "--source", "all", "--group", "food", "--c-t", "0",
+      "--c-s", "0"], IDENTITY),
+    (["features", "wcoh", "--c-s", "1e308"],
+     "c_s=1e+308 gives a smoothing width of inf, too large for int64"),
+    (["report", "--c-t", "1e308"],
+     "c_t=1e+308 gives a smoothing width of inf, too large for int64"),
+    (["synth", "--session-len", "1e308"],
+     "session_len * fs gives inf samples, too many for int64"),
+    (["synth", "--fs", "1e308"],
+     "session_len * fs gives inf samples, too many for int64"),
 ])
 def test_negative_counts_and_smoothing_exit_3(tmp_path, small_cohort, capsys,
                                              argv, message):
@@ -348,6 +363,48 @@ def test_negative_counts_and_smoothing_exit_3(tmp_path, small_cohort, capsys,
     err = capsys.readouterr().err.splitlines()
     assert err == [f"data error: {message}"]
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_a_chambers_run_failing_on_its_second_group_writes_nothing(
+        tmp_path, small_cohort, capsys):
+    """Food is classified before morphine turns out to lack a chamber;
+    its results are neither written nor printed."""
+    out = tmp_path / "out"
+    assert main(["chambers", "--data", str(small_cohort), "--out", str(out),
+                 "--seed", "1", "--source", "hip"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "data error: chambers absent for group morphine")
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+def config_lines(out_dir):
+    """File name -> the config line of every output under ``out_dir``."""
+    lines = {}
+    for path in sorted(out_dir.iterdir()):
+        text = path.read_bytes().decode(errors="replace").splitlines()
+        # a CSV's first line, a PGM's header comment
+        lines[path.name] = text[1 if path.suffix == ".pgm" else 0]
+    return lines
+
+
+@pytest.mark.parametrize("argv, files, pairs", [
+    (["report", "--c-t", "1.5", "--threshold", "0.3"], 8,
+     ["c_s=0.6", "c_t=1.5", "threshold=0.3"]),
+    (["chambers", "--seed", "1", "--group", "food", "--source", "all"], 5,
+     ["c_s=0.6", "c_t=2.0", "source=all"]),
+])
+def test_every_output_of_a_run_carries_one_config_line(
+        tmp_path, small_cohort, argv, files, pairs):
+    out = tmp_path / "out"
+    assert main(argv + ["--data", str(small_cohort), "--out", str(out)]) == 0
+    lines = config_lines(out)
+    assert len(lines) == files
+    assert len(set(lines.values())) == 1, lines
+    line = next(iter(lines.values()))
+    assert line.startswith(f"# wavescat-config: cmd={argv[0]} ")
+    assert set(pairs) <= set(line.split()[3:])
 
 
 def test_report_refuses_a_rat_id_that_leaves_out(tmp_path, capsys):
@@ -454,7 +511,8 @@ def test_per_rat_keeps_long_rat_ids_apart(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("row", ["a,3,x", "a,3", "a,3.7,1", "a,-0.5,1"])
+@pytest.mark.parametrize("row", ["a,3,x", "a,3", "a,3.7,1", "a,-0.5,1",
+                                 "a,1e30,1", "a,9223372036854775807,1"])
 def test_bad_counts_row_exits_3_naming_the_line(tmp_path, capsys, row):
     counts = tmp_path / "counts.csv"
     counts.write_text(f"# hand-made\nclass,a,b\n{row}\nb,1,4\n")
@@ -554,6 +612,28 @@ def test_window_longer_than_session_is_a_data_error(tmp_path,
     assert main(["features", "wcoh", "--data", str(data),
                  "--out", str(tmp_path / "out"), "--window", "20"]) == 3
     assert "window longer than the session" in capsys.readouterr().err
+
+
+def test_an_overlong_window_or_hop_is_bounded_before_the_cast(
+        tmp_path, single_chamber_session, capsys):
+    """A 1e308 s window is longer than the session; a 1e308 s hop gives
+    the one window at start 0 that a 100 s hop gives."""
+    data = tmp_path / "data"
+    data.mkdir()
+    save_session(single_chamber_session, data / "rat1_food_post.wscat")
+    args = ["features", "cwt", "--data", str(data)]
+    assert main(args + ["--out", str(tmp_path / "w"),
+                        "--window", "1e308"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: window longer than the session"]
+    tables = []
+    for hop in ("100", "1e308"):
+        out = tmp_path / hop
+        assert main(args + ["--out", str(out), "--hop", hop]) == 0
+        lines = (out / "features_cwt_hip.csv").read_text().splitlines()
+        assert f"hop={float(hop)}" in lines[0]
+        tables.append(lines[1:])
+    assert len(tables[0]) == 2 and tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("command, text, message", [

@@ -70,3 +70,13 @@ def test_whole_number_float_counts_are_read(tmp_path):
     counts.write_text("class,a,b\na,12.0,1\nb,1,4e0\n")
     assert confusion_from_counts_csv(counts).counts.tolist() == [[12, 1],
                                                                   [1, 4]]
+
+
+def test_whole_number_counts_are_read_exactly(tmp_path):
+    # 2**53 + 1 has no float64; a float parse would give 2**53
+    counts = tmp_path / "counts.csv"
+    counts.write_text("class,a,b\na,9007199254740993,1\nb,1,4\n")
+    matrix = confusion_from_counts_csv(counts)
+    assert matrix.counts.tolist() == [[9007199254740993, 1], [1, 4]]
+    confusion_to_csv(matrix, tmp_path / "out.csv")
+    assert "a,9007199254740993,1," in (tmp_path / "out.csv").read_text()

@@ -68,7 +68,10 @@ def test_chamber_windows_equal_per_start_oracle(drawn):
     win, step, starts, codes = chamber_windows(session, window_len, hop)
     expected_win, expected = chamber_windows_by_start(session, window_len,
                                                       hop)
-    assert win == expected_win and step == int(round(hop * session.fs))
+    assert win == expected_win
+    # a hop longer than the session counts as the session length
+    assert step == min(int(round(hop * session.fs)),
+                       session.hip.samples.size)
     assert starts.tolist() == [start for start, _ in expected]
     assert [Chamber(c) for c in codes.tolist()] == [c for _, c in expected]
 

@@ -181,6 +181,14 @@ def test_segment_shorter_than_t_rejected():
         scatter(np.zeros(400), PARAMS)
 
 
+def test_a_filter_zero_on_every_bin_is_a_data_error():
+    # at 64 voices per octave, the layer-1 filters near 2.5 Hz are too
+    # narrow to reach any bin of a 1 s, 1 kHz segment's 1 Hz grid
+    with pytest.raises(DataError, match=r"layer-1 filter at 2\.544 Hz is "
+                       r"zero on every bin of the 1000-point grid"):
+        scatter(np.zeros(1000), ScatteringParams(q1=64, fs=FS))
+
+
 def test_params_validation():
     for t in (-1.0, np.nan):
         with pytest.raises(DataError, match="invariance scale"):

@@ -18,6 +18,10 @@ def test_spec_validation():
     for fs in (100.0, np.nan):
         with pytest.raises(DataError, match="fs must be"):
             SynthSpec(fs=fs)
+    for size in ({"session_len": 1e308}, {"fs": 1e308},
+                 {"session_len": 1e16}):
+        with pytest.raises(DataError, match="too many for int64"):
+            SynthSpec(**size)
     for name in ("rats_saline", "rats_morphine", "rats_food"):
         with pytest.raises(DataError, match=f"{name} must be non-negative"):
             SynthSpec(**{name: -2})

@@ -70,6 +70,9 @@ RUNS = [
     # stumps: every prediction is a one-step descent
     ("A", "chambers --seed 1 --group food --model dt --source hip "
           "--max-depth 1"),
+    # refused after some results are computed: exit 3 and no file
+    ("A", "report --c-t 0 --c-s 0"),
+    ("A", "chambers --seed 1 --source hip"),
 ]
 
 TOKEN = "<RUN>"
