@@ -4,21 +4,34 @@ linear SVM dual solver, each one vectorized numpy implementation."""
 import numpy as np
 
 
+def _periodic_sums(row, lo, w):
+    """Sum of the w periodic samples from t - lo, for every t; w <= n."""
+    padded = np.pad(row, (lo, w - 1 - lo), mode="wrap")
+    csum = np.cumsum(padded)
+    return csum[w - 1:] - np.concatenate([[0], csum[:-w]])
+
+
 def boxcar_time(mat, widths):
-    """Per-row periodic moving average along axis 1; a width above the
-    row length wraps around the row more than once."""
+    """Per-row periodic moving average along axis 1. A width w above the
+    row length n wraps around the row more than once: its window is
+    q = w // n whole-row totals plus the r = w - q*n samples it starts
+    with, so no row is padded by more than r."""
     widths = np.asarray(widths, dtype=np.int64)
+    n = mat.shape[1]
     out = np.empty_like(mat)
     for j in range(mat.shape[0]):
         w = int(widths[j])
+        lo = (w - 1) // 2
         if w <= 1:
             out[j] = mat[j]
-            continue
-        lo = (w - 1) // 2
-        hi = w // 2
-        padded = np.pad(mat[j], (lo, hi), mode="wrap")
-        csum = np.cumsum(padded)
-        out[j] = (csum[w - 1:] - np.concatenate([[0], csum[:-w]])) / w
+        elif w <= n:
+            out[j] = _periodic_sums(mat[j], lo, w) / w
+        else:
+            q, r = divmod(w, n)
+            sums = q * mat[j].sum()
+            if r:
+                sums = sums + _periodic_sums(np.roll(mat[j], lo % n), 0, r)
+            out[j] = sums / w
     return out
 
 

@@ -52,7 +52,6 @@ def confusion_stats(m: ConfusionMatrix) -> dict:
         "fnr": fnr,
         "micro": 100.0 * float(np.trace(m.counts)) / m.total,
         "macro": float(np.mean(tpr[nonzero])),
-        "defined": nonzero,
     }
 
 

@@ -24,7 +24,7 @@ def _sigmoid(z):
     # min(z, -z) is -z where z >= 0 and z elsewhere, so neither branch
     # can overflow; unlike -|z| it returns a NaN with its own sign bit
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softmax(z):
@@ -33,23 +33,27 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def loss_and_grad(weights, biases, x, y, n_classes):
-    """Mean cross-entropy and its gradients for one full batch."""
-    activations = [x]
-    a = x
+def _forward(weights, biases, a):
+    """Each layer's input activations, then the softmax output."""
+    activations = [a]
     for w, b in zip(weights[:-1], biases[:-1]):
         a = _sigmoid(a @ w + b)
         activations.append(a)
-    probs = _softmax(a @ weights[-1] + biases[-1])
+    return activations, _softmax(a @ weights[-1] + biases[-1])
+
+
+def loss_and_grad(weights, biases, x, y):
+    """Mean cross-entropy and its gradients for one full batch."""
+    activations, probs = _forward(weights, biases, x)
     n = x.shape[0]
+    rows = np.arange(n)
     # log(0) = -inf is deliberate: assigning probability zero to a true
     # class is the divergence signal the trainer aborts on
     with np.errstate(divide="ignore"):
-        loss = -np.mean(np.log(probs[np.arange(n), y]))
+        loss = -np.mean(np.log(probs[rows, y]))
 
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
-    delta = (probs - onehot) / n
+    probs[rows, y] -= 1.0
+    delta = probs / n
     grads_w = [None] * len(weights)
     grads_b = [None] * len(biases)
     for layer in range(len(weights) - 1, -1, -1):
@@ -83,7 +87,7 @@ def train_mlp(data: Dataset, hidden=(64,), epochs: int = 300,
         weights.append(rng.uniform(-lim, lim, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
     for epoch in range(epochs):
-        loss, gw, gb = loss_and_grad(weights, biases, x, y, data.n_classes)
+        loss, gw, gb = loss_and_grad(weights, biases, x, y)
         if not np.isfinite(loss):
             raise NumericalError(
                 f"non-finite loss at epoch {epoch}; learning rate too high?")
@@ -98,10 +102,8 @@ def decision_values_mlp(model: MlpModel, features: np.ndarray) -> np.ndarray:
     if features.shape[1] != model.layer_sizes[0]:
         raise DataError(f"expected {model.layer_sizes[0]} features, "
                         f"got {features.shape[1]}")
-    a = (features - model.mean) / model.std
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = _sigmoid(a @ w + b)
-    return _softmax(a @ model.weights[-1] + model.biases[-1])
+    return _forward(model.weights, model.biases,
+                    (features - model.mean) / model.std)[1]
 
 
 def predict_mlp(model: MlpModel, features: np.ndarray) -> np.ndarray:

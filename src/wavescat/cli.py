@@ -77,6 +77,18 @@ def _finite(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """A random seed: numpy takes only non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"not a non-negative integer: {text!r}")
+    return value
+
+
 def _sizes(text: str) -> str:
     """Comma-separated layer sizes, checked but kept as the text that
     the config line records."""
@@ -95,7 +107,7 @@ class Option:
     config-file key ``name``."""
 
     name: str
-    type: object                 # int, str, bool or a str validator
+    type: object                 # int, str, bool or a validator
     default: object
     help: str
     commands: tuple
@@ -117,7 +129,7 @@ class Option:
 
 
 OPTIONS = {o.name: o for o in (
-    Option("seed", int, None, "random seed", _ALL,
+    Option("seed", _seed, None, "random seed", _ALL,
            required=("synth", "chambers", "joint"), record="set"),
     Option("out", str, None, "output directory", _ALL,
            required=_ALL, record="never"),
@@ -556,6 +568,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"wavescat {args.command}: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
+    except MemoryError as exc:
+        print(f"data error: out of memory: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

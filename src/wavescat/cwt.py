@@ -99,10 +99,8 @@ def scalogram_magnitude(s: Scalogram) -> np.ndarray:
 
 
 def next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
+    """Smallest power of two >= n, for n >= 1."""
+    return 1 << (n - 1).bit_length()
 
 
 def scalogram_to_csv(mag: np.ndarray, scale_axis, time_axis, path,

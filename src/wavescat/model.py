@@ -355,16 +355,14 @@ def stratified_folds(keys, k: int, seed: int) -> list[np.ndarray]:
         raise DataError("k must be at least 2")
     if k > n:
         raise DataError(f"k={k} exceeds the number of items ({n})")
-    by_key: dict = {}
-    for i, key in enumerate(keys):
-        by_key.setdefault(key, []).append(i)
+    strata = {key: code for code, key in enumerate(dict.fromkeys(keys))}
+    codes = np.fromiter(map(strata.get, keys), np.int64, n)
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    fold = np.empty(n, dtype=np.int64)
     offset = 0
-    for key in sorted(by_key, key=lambda x: str(x)):
-        idx = np.array(by_key[key], dtype=np.int64)
+    for key in sorted(strata, key=str):
+        idx = np.flatnonzero(codes == strata[key])
         rng.shuffle(idx)
-        for j, i in enumerate(idx):
-            folds[(offset + j) % k].append(int(i))
+        fold[idx] = (offset + np.arange(idx.size)) % k
         offset = (offset + idx.size) % k
-    return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
+    return [np.flatnonzero(fold == f) for f in range(k)]

@@ -94,20 +94,15 @@ class FilterBank:
         """Envelope e-folding time per voice, in seconds.
 
         Found numerically: each filter row is brought to the time domain
-        and the envelope is scanned outward from its peak until it first
-        drops below peak/e.
+        and the envelope is scanned forward from its lag-0 peak until it
+        first drops below peak/e; a row that never does reads n//2.
         """
         if self._efold_times is None:
-            waves = np.fft.ifft(self.filters, axis=1)
-            env = np.abs(waves)
-            times = np.empty(self.n_scales)
+            env = np.abs(np.fft.ifft(self.filters, axis=1))
             half = self.n // 2
-            for j in range(self.n_scales):
-                row = np.roll(env[j], half)
-                peak = row[half]
-                below = np.nonzero(row[half:] < peak / np.e)[0]
-                times[j] = (below[0] if below.size else half) / self.fs
-            self._efold_times = times
+            below = env[:, :self.n - half] < env[:, :1] / np.e
+            self._efold_times = np.where(
+                below.any(axis=1), below.argmax(axis=1), half) / self.fs
         return self._efold_times
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cwt import next_pow2
 from .errors import DataError
 from .morse import MorseParams, build_filterbank
 
@@ -198,8 +199,7 @@ class _Engine:
 
     def _grid(self, bins: int) -> int:
         """Smallest power of two >= bins, or n when that is not below n."""
-        m = 1 << (int(bins) - 1).bit_length()
-        return m if m < self.n else self.n
+        return min(next_pow2(bins), self.n)
 
     def _weights_on(self, m: int) -> np.ndarray:
         """w sampled at m equally spaced times of the segment's period."""
@@ -209,17 +209,14 @@ class _Engine:
         w_hat[m - kw:] = self._w_hat[n - kw:]
         return np.fft.ifft(w_hat).real * (m / n)
 
-    def transform(self, x: np.ndarray, with_energies: bool = False):
+    def transform(self, x: np.ndarray) -> np.ndarray:
         # On an M-point grid the inverse FFT returns |z| scaled by n/M, so
-        # the rfft of that modulus is U's full-grid spectrum unchanged, the
-        # time average is its dot product with w's samples, and the energy
-        # of the n-sample trajectory is M/n times its sum of squares.
-        n = self.n
+        # the rfft of that modulus is U's full-grid spectrum unchanged and
+        # the time average is its dot product with w's samples.
         spectrum = np.fft.rfft(x)
         s0 = float(x @ self.avg_weights)
 
         s1 = np.empty(self.f1.size)
-        e1 = 0.0
         u1_hat = np.zeros((self.f1.size, self.u1_bins), dtype=complex)
         for rows, m, filt, keep, w in self.layer1:
             z = np.zeros((rows.size, m), dtype=complex)
@@ -228,25 +225,15 @@ class _Engine:
             s1[rows] = u1 @ w
             if keep:
                 u1_hat[rows, :keep] = np.fft.rfft(u1, axis=1)[:, :keep]
-            if with_energies:
-                e1 += (m / n) * float(np.sum(u1 ** 2))
 
         s2 = np.empty(len(self.pairs))
-        e2 = 0.0
         for rows, positions, m, filt, w in self.layer2:
             z = np.zeros((rows.size, m), dtype=complex)
             z[:, :filt.size] = u1_hat[rows, :filt.size] * filt
             u2 = np.abs(np.fft.ifft(z, axis=1))
             s2[positions] = u2 @ w
-            if with_energies:
-                e2 += (m / n) * float(np.sum(u2 ** 2))
 
-        values = np.maximum(np.concatenate([[s0], s1, s2]), 0.0)
-        if not with_energies:
-            return values
-        energies = (float(np.sum(np.asarray(x, dtype=np.float64) ** 2)),
-                    e1, e2)
-        return values, energies
+        return np.maximum(np.concatenate([[s0], s1, s2]), 0.0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -261,14 +248,6 @@ def scatter(x, params: ScatteringParams) -> ScatteringFeatures:
         raise DataError("segment must be 1-D")
     eng = _engine(params, x.size)
     return ScatteringFeatures(eng.transform(x), list(eng.paths))
-
-
-def layer_energies(x, params: ScatteringParams) -> tuple[float, float, float]:
-    """(input, layer-1, layer-2) energies of the un-averaged trajectories."""
-    x = np.asarray(x, dtype=np.float64)
-    eng = _engine(params, x.size)
-    _, energies = eng.transform(x, with_energies=True)
-    return energies
 
 
 def feature_matrix(segments, params: ScatteringParams):

@@ -8,13 +8,16 @@ to a separate cumulative sum), the CART split scan sorts and scores one
 feature column at a time, a tree is descended one row at a time, the
 phase overlay tests one grid cell at a time, a bundle's track records
 are checked and a track held one record at a time, whole groups are
-dealt into folds by a name-to-fold map, the SVM solver computes
-``X @ w`` twice per epoch and the sigmoid splits its input by boolean
-masks. Two references are exceptions. The window
+dealt into folds by a name-to-fold map, stratified folds are dealt one
+item at a time, e-folding times are scanned one voice at a time, the
+SVM solver computes ``X @ w`` twice per epoch and the sigmoid splits
+its input by boolean masks. Three references are exceptions. The window
 reductions run the library's CWT and coherence, then test each hop-grid
 start and reduce each window on its own, one Python iteration per
 window. The scattering reference builds the library's filter banks,
-then transforms every layer at the full segment length.
+then transforms every layer at the full segment length. The layer
+energies read the scattering engine's own plan (its grids and cropped
+filters) and redo its layer transforms to sum each trajectory's energy.
 """
 
 import numpy as np
@@ -24,7 +27,7 @@ from wavescat.cwt import cwt, scalogram_magnitude
 from wavescat.errors import BundleFormatError, DataError
 from wavescat.model import Chamber
 from wavescat.morse import MorseParams, build_filterbank
-from wavescat.scattering import ScatteringParams, _tb_for_q
+from wavescat.scattering import ScatteringParams, _engine, _tb_for_q
 
 
 def _parabolic_vertex(fn, w0, h):
@@ -420,6 +423,64 @@ def full_grid_scatter(x, params: ScatteringParams, with_energies=False):
     """Scattering values (and layer energies) at the full segment length."""
     x = np.asarray(x, dtype=np.float64)
     return FullGridEngine(params, x.size).transform(x, with_energies)
+
+
+def layer_energies(x, params: ScatteringParams) -> tuple[float, float, float]:
+    """(input, layer-1, layer-2) energies of the un-averaged trajectories
+    on the engine's decimated grids. An M-point inverse FFT returns |z|
+    scaled by n/M, so the energy of the n-sample trajectory is M/n times
+    its sum of squares."""
+    x = np.asarray(x, dtype=np.float64)
+    eng = _engine(params, x.size)
+    spectrum = np.fft.rfft(x)
+    u1_hat = np.zeros((eng.f1.size, eng.u1_bins), dtype=complex)
+    e1 = 0.0
+    for rows, m, filt, keep, _ in eng.layer1:
+        z = np.zeros((rows.size, m), dtype=complex)
+        z[:, :filt.shape[1]] = spectrum[:filt.shape[1]] * filt
+        u1 = np.abs(np.fft.ifft(z, axis=1))
+        if keep:
+            u1_hat[rows, :keep] = np.fft.rfft(u1, axis=1)[:, :keep]
+        e1 += (m / eng.n) * float(np.sum(u1 ** 2))
+    e2 = 0.0
+    for rows, _, m, filt, _ in eng.layer2:
+        z = np.zeros((rows.size, m), dtype=complex)
+        z[:, :filt.size] = u1_hat[rows, :filt.size] * filt
+        u2 = np.abs(np.fft.ifft(z, axis=1))
+        e2 += (m / eng.n) * float(np.sum(u2 ** 2))
+    return float(np.sum(x ** 2)), e1, e2
+
+
+def efold_times_by_voice(bank):
+    """E-folding times, each voice's envelope rolled to centre its peak
+    and scanned outward on its own."""
+    env = np.abs(np.fft.ifft(bank.filters, axis=1))
+    times = np.empty(bank.n_scales)
+    half = bank.n // 2
+    for j in range(bank.n_scales):
+        row = np.roll(env[j], half)
+        peak = row[half]
+        below = np.nonzero(row[half:] < peak / np.e)[0]
+        times[j] = (below[0] if below.size else half) / bank.fs
+    return times
+
+
+def stratified_folds_by_item(keys, k, seed):
+    """Stratified folds dealt one item at a time into growing lists."""
+    keys = list(keys)
+    by_key = {}
+    for i, key in enumerate(keys):
+        by_key.setdefault(key, []).append(i)
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    offset = 0
+    for key in sorted(by_key, key=lambda x: str(x)):
+        idx = np.array(by_key[key], dtype=np.int64)
+        rng.shuffle(idx)
+        for j, i in enumerate(idx):
+            folds[(offset + j) % k].append(int(i))
+        offset = (offset + idx.size) % k
+    return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
 
 
 def svm_gap_two_pass(X, y, c_i, alpha, w):

@@ -21,10 +21,10 @@ from wavescat.coherence import SmoothingSpec, coherence
 from wavescat.cwt import Scalogram, cwt
 from wavescat.morse import MorseParams, build_filterbank, morse_hat, \
     peak_frequency
-from wavescat.scattering import ScatteringParams, layer_energies, scatter
+from wavescat.scattering import ScatteringParams, scatter
 
 from figdata import CLASS_NAMES, COUNTS, PRINTED_MACRO, PRINTED_TPR
-from oracles import direct_cwt, numeric_peak
+from oracles import direct_cwt, layer_energies, numeric_peak
 
 FS = 1000.0
 
@@ -255,7 +255,7 @@ def test_criterion_5_classifier_oracles():
     weights = [rng.standard_normal((4, 5)) * 0.5,
                rng.standard_normal((5, 3)) * 0.5]
     biases = [rng.standard_normal(5) * 0.1, rng.standard_normal(3) * 0.1]
-    _, grads_w, grads_b = loss_and_grad(weights, biases, x, y, 3)
+    _, grads_w, grads_b = loss_and_grad(weights, biases, x, y)
     eps, worst = 1e-5, 0.0
     for params, grads in ((weights, grads_w), (biases, grads_b)):
         for layer, grad in zip(params, grads):
@@ -264,9 +264,9 @@ def test_criterion_5_classifier_oracles():
                 idx = it.multi_index
                 orig = layer[idx]
                 layer[idx] = orig + eps
-                up = loss_and_grad(weights, biases, x, y, 3)[0]
+                up = loss_and_grad(weights, biases, x, y)[0]
                 layer[idx] = orig - eps
-                down = loss_and_grad(weights, biases, x, y, 3)[0]
+                down = loss_and_grad(weights, biases, x, y)[0]
                 layer[idx] = orig
                 fd = (up - down) / (2 * eps)
                 worst = max(worst, abs(fd - grad[idx])

@@ -656,6 +656,7 @@ def test_an_overlong_window_or_hop_is_bounded_before_the_cast(
      "c_s=NaN: not a finite number"),
     (["joint", "--seed", "1", "--data", "d"], "c=nan\n",
      "c=nan: not a finite number"),
+    (["synth"], "seed=-1\n", "seed=-1: not a non-negative integer: '-1'"),
 ])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, text,
                                             message):
@@ -690,6 +691,30 @@ def test_non_finite_flags_exit_2_naming_the_option(tmp_path, capsys, argv,
     assert f"argument {flag}: not a finite number: {value!r}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth"], ["joint", "--data", "d"], ["chambers", "--data", "d"]])
+def test_negative_seed_flag_exits_2_naming_the_option(tmp_path, capsys,
+                                                      argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: not a non-negative integer: '-1'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_session_beyond_any_address_space_exits_3(tmp_path, capsys):
+    # 2e17 samples, 1.4 EiB a channel: the first allocation fails at once
+    out = tmp_path / "out"
+    assert main(["synth", "--seed", "1", "--session-len", "1e15",
+                 "--fs", "200", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: out of memory: ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists() or not os.listdir(out)
 
 
 def test_malformed_sizes_flag_gives_the_caster_message(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Contracts of the smoothing, split-scan and SVM kernels."""
 
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -43,6 +44,19 @@ def test_time_boxcar_wider_than_the_row_wraps_periodically():
         got = boxcar_time(mat, np.array(widths))
         expected = brute_force_smooth(mat, widths, 1)
         assert np.abs(got - expected).max() < 1e-12
+
+
+def test_time_boxcar_memory_does_not_grow_with_the_width():
+    n = 2000
+    mat = random_complex(5, (2, n))
+    tracemalloc.start()
+    try:
+        boxcar_time(mat, np.array([1000 * n, 1000 * n + n // 3]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a few row copies; padding to the full width would take 1000
+    assert peak < 20 * mat[0].nbytes
 
 
 def test_scale_boxcar_equals_concatenating_kernel_bitwise():

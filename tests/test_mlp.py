@@ -38,12 +38,12 @@ def test_gradient_matches_central_finite_differences():
     weights = [rng.standard_normal((4, 5)) * 0.5,
                rng.standard_normal((5, 3)) * 0.5]
     biases = [rng.standard_normal(5) * 0.1, rng.standard_normal(3) * 0.1]
-    _, grads_w, grads_b = loss_and_grad(weights, biases, x, y, 3)
+    _, grads_w, grads_b = loss_and_grad(weights, biases, x, y)
     eps = 1e-5
     worst = 0.0
 
     def loss_at():
-        return loss_and_grad(weights, biases, x, y, 3)[0]
+        return loss_and_grad(weights, biases, x, y)[0]
 
     for params, grads in ((weights, grads_w), (biases, grads_b)):
         for layer, grad in zip(params, grads):

@@ -11,7 +11,8 @@ from wavescat.model import (TRACK, Chamber, Channel, Group, Phase,
 from wavescat.synth import SynthSpec, generate_session
 
 from conftest import make_session
-from oracles import chamber_codes_by_fix, track_by_record
+from oracles import (chamber_codes_by_fix, stratified_folds_by_item,
+                     track_by_record)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +331,18 @@ def test_folds_partition_property(k, seed, n):
     for key in set(keys):
         sizes = [sum(1 for i in f if keys[i] == key) for f in folds]
         assert max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_folds_equal_the_per_item_dealing_bitwise(k):
+    rng = np.random.default_rng(k)
+    for seed, n, strata in ((k, 13 * k, 1), (k + 1, 200, 4), (k + 2, 97, 9)):
+        keys = rng.integers(0, strata, n).tolist()
+        got = stratified_folds(keys, k, seed)
+        expected = stratified_folds_by_item(keys, k, seed)
+        assert len(got) == len(expected) == k
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_fold_errors():

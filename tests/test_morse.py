@@ -6,7 +6,7 @@ from wavescat.morse import (MorseParams, build_filterbank, morse_hat,
                             peak_frequency)
 
 
-from oracles import numeric_peak
+from oracles import efold_times_by_voice, numeric_peak
 
 
 def test_unit_step_and_origin():
@@ -120,3 +120,19 @@ def test_efold_times_decrease_with_frequency():
     times = bank.efold_times()
     assert np.all(np.diff(times) >= 0)  # descending frequency axis
     assert times[-1] > times[0]
+
+
+@pytest.mark.parametrize("n, fs, params, voices, fmin, fmax", [
+    (4096, 1000.0, MorseParams(), 6, 2.0, 100.0),
+    (1001, 1000.0, MorseParams(3.0, 27.0), 4, 5.0, 100.0),
+    (2048, 200.0, MorseParams(), 10, 1.0, 100.0),
+    # short grids: the lowest voices never drop below peak/e and read n//2
+    (255, 250.0, MorseParams(), 10, 1.0, 100.0),
+    (64, 1000.0, MorseParams(), 4, 1.0, 100.0),
+])
+def test_efold_times_equal_the_per_voice_scan_bitwise(n, fs, params, voices,
+                                                      fmin, fmax):
+    bank = build_filterbank(n, fs, params, voices, fmin, fmax)
+    got, expected = bank.efold_times(), efold_times_by_voice(bank)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()

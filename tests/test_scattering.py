@@ -5,9 +5,9 @@ from wavescat.errors import DataError
 from wavescat.model import Chamber, Channel, Group, Phase, Segment
 from wavescat.pipeline import FeatureTable, segment_labels, table_to_csv
 from wavescat.scattering import (ScatteringParams, feature_matrix,
-                                 layer_energies, path_names, scatter)
+                                 path_names, scatter)
 
-from oracles import full_grid_scatter
+from oracles import full_grid_scatter, layer_energies
 
 FS = 1000.0
 PARAMS = ScatteringParams(t=0.5, q1=8, q2=1, fs=FS)

@@ -7,10 +7,11 @@ checkout's ``src``). With each tree, in a temporary directory, this
 writes two small synthetic cohorts and runs the command list below as
 ``python -m wavescat.cli`` children. It prints the first 12 hex digits
 of the SHA-256 of every bundle, every output file and every run's
-stdout, with the run directory in stdout replaced by a fixed token, as
-``<run>: <name>  <old>  <new>``. Every entry that differs, or exists on
-one side only, is named at the end, and the exit status is 1 if there
-is any. Each tree takes about a minute on two cores.
+stdout and stderr, with the run directory and the tree's ``src``
+directory replaced by fixed tokens, as ``<run>: <name>  <old>  <new>``.
+Every entry that differs, or exists on one side only, is named at the
+end, and the exit status is 1 if there is any. Each tree takes about a
+minute on two cores.
 """
 
 import hashlib
@@ -73,9 +74,14 @@ RUNS = [
     # refused after some results are computed: exit 3 and no file
     ("A", "report --c-t 0 --c-s 0"),
     ("A", "chambers --seed 1 --source hip"),
+    # a negative seed is refused (exit 2); a session of 1.4 EiB a channel
+    # runs out of memory at its first allocation (exit 3)
+    (None, "synth --seed -1 --session-len 10"),
+    (None, "synth --seed 1 --session-len 1e15 --fs 200"),
 ]
 
 TOKEN = "<RUN>"
+SRC_TOKEN = "<SRC>"
 
 
 def _digest(data: bytes) -> str:
@@ -89,8 +95,10 @@ def _run(src, work, label, argv, records):
     if proc.returncode:
         sys.stderr.write(proc.stderr.decode(errors="replace"))
     records[(label, "exit")] = str(proc.returncode)
-    stdout = proc.stdout.replace(work.encode(), TOKEN.encode())
-    records[(label, "stdout")] = _digest(stdout)
+    for stream, data in (("stdout", proc.stdout), ("stderr", proc.stderr)):
+        data = data.replace(work.encode(), TOKEN.encode()).replace(
+            src.encode(), SRC_TOKEN.encode())
+        records[(label, stream)] = _digest(data)
 
 
 def _files(directory, label, records):
