@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -20,3 +22,24 @@ def single_chamber_session():
     rng = np.random.default_rng(11)
     n = 10_000
     return make_session(rng.standard_normal(n), rng.standard_normal(n))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the children forked in this process."""
+    count = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            count.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return count
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -11,7 +11,7 @@ import pytest
 
 from wavescat.classify import (ConfusionMatrix, confusion_to_csv, train_mlp,
                                train_svm_ova, train_tree)
-from wavescat import cli, csvfile, pipeline
+from wavescat import cli, csvfile, forked, pipeline, scattering
 from wavescat.cli import OPTIONS, Config, build_parser, main
 from wavescat.coherence import SmoothingSpec
 from wavescat.model import (Chamber, Channel, Group, Phase, load_session,
@@ -176,6 +176,18 @@ def test_features_on_empty_dir_exits_3(tmp_path, capsys):
     assert main(["features", "cwt", "--data", str(empty),
                  "--out", str(out)]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["joint", "--seed", "1"],
+                                  ["features", "scatter"]])
+def test_a_scattering_gamma_of_zero_exits_3_with_one_line(
+        tmp_path, small_cohort, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--data", str(small_cohort), "--out", str(out),
+                 "--gamma", "0"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["data error: gamma must be positive"]
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_joint_stats_from_counts_reproduces_published_macro(tmp_path,
@@ -448,7 +460,7 @@ def test_a_failed_writer_child_exits_2_and_leaves_no_file(
         format_rows(fh, rows, start, stop)
 
     monkeypatch.setattr(csvfile, "_format", failing_in_children)
-    monkeypatch.setattr(csvfile, "_cpus", lambda: 2)
+    monkeypatch.setattr(forked, "cpus", lambda: 2)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(["report", "--data", str(small_cohort), "--out", str(out)])
@@ -461,12 +473,39 @@ def test_a_failed_writer_child_exits_2_and_leaves_no_file(
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
-                    reason="needs two CPUs to compare against one")
-def test_report_bytes_do_not_depend_on_the_cpu_count(tmp_path,
-                                                     small_cohort):
-    """``report`` pinned to one CPU and run on every CPU writes the same
-    bytes; its CSVs are large enough to be split across CPUs."""
+def test_a_failed_scattering_child_exits_2_and_leaves_no_file(
+        tmp_path, single_chamber_session, capsys, monkeypatch):
+    """A forked scattering block that fails ends the run like a failed
+    writer: one stderr line naming its rows, exit 2, no file and no
+    child left behind."""
+    data = tmp_path / "data"
+    data.mkdir()
+    save_session(single_chamber_session, data / "rat1_food_post.wscat")
+    parent = os.getpid()
+    transform = scattering._Engine.transform
+
+    def failing_in_children(self, x):
+        if os.getpid() != parent:
+            raise ValueError("no transform here")
+        return transform(self, x)
+
+    monkeypatch.setattr(scattering._Engine, "transform", failing_in_children)
+    monkeypatch.setattr(forked, "cpus", lambda: 2)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["features", "scatter", "--data", str(data), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["wavescat features: error: scattering rows 19-37 failed: "
+                   "ValueError: no transform here"]
+    assert list(out.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_on_cpus(cpus, argv):
+    """Run the CLI in a child pinned to the first ``cpus`` CPUs of this
+    process, or to all of them for 0."""
     run = ("import os, sys\n"
            "cpus = sorted(os.sched_getaffinity(0))\n"
            "os.sched_setaffinity(0, cpus[:int(sys.argv[1]) or None])\n"
@@ -475,16 +514,38 @@ def test_report_bytes_do_not_depend_on_the_cpu_count(tmp_path,
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", run, str(cpus), *argv],
+                   env=env, check=True, timeout=120,
+                   stdout=subprocess.DEVNULL)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to compare against one")
+def test_report_bytes_do_not_depend_on_the_cpu_count(tmp_path,
+                                                     small_cohort):
+    """``report`` pinned to one CPU and run on every CPU writes the same
+    bytes; its CSVs are large enough to be split across CPUs."""
     for cpus in ("1", "0"):
-        subprocess.run([sys.executable, "-c", run, cpus, "report",
-                        "--data", str(small_cohort), "--voices", "4",
-                        "--out", str(tmp_path / cpus)],
-                       env=env, check=True, timeout=120,
-                       stdout=subprocess.DEVNULL)
+        run_on_cpus(cpus, ["report", "--data", str(small_cohort),
+                           "--voices", "4", "--out", str(tmp_path / cpus)])
     names = sorted(os.listdir(tmp_path / "1"))
     assert names == sorted(os.listdir(tmp_path / "0"))
     assert len([n for n in names if n.endswith(".csv")]) == 5
     assert tree_digest(tmp_path / "1") == tree_digest(tmp_path / "0")
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to compare against one")
+def test_scatter_bytes_do_not_depend_on_the_cpu_count(tmp_path,
+                                                      small_cohort):
+    """``features scatter`` pinned to one CPU and run on every CPU, whose
+    rows are split across CPUs, writes the same CSV bytes."""
+    for cpus in ("1", "0"):
+        run_on_cpus(cpus, ["features", "scatter", "--data",
+                           str(small_cohort), "--out", str(tmp_path / cpus)])
+    serial = (tmp_path / "1" / "features_scatter.csv").read_bytes()
+    assert serial.count(b"\n") > 100
+    assert (tmp_path / "0" / "features_scatter.csv").read_bytes() == serial
 
 
 def test_per_rat_keeps_long_rat_ids_apart(tmp_path):

@@ -2,8 +2,10 @@ import os
 
 import pytest
 
-from wavescat import cli, csvfile
+from wavescat import cli, csvfile, forked
 from wavescat.csvfile import LazyRows, write_csv
+
+from conftest import assert_no_child_left
 
 
 def mixed_rows(n_rows, width):
@@ -21,27 +23,6 @@ def expected_text(header, rows, config_line):
     return "\n".join(lines) + "\n"
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Counts the children ``write_csv`` forks in this process."""
-    count = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            count.append(pid)
-        return pid
-
-    monkeypatch.setattr(csvfile.os, "fork", counting_fork)
-    return count
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("n_rows, cpus", [
     (7, 3),      # 3 does not divide 7
     (11, 4),
@@ -54,10 +35,10 @@ def test_blocks_equal_in_process_formatting_byte_for_byte(
     header = ["name", "id", "neg"] + [f"c{j}" for j in range(206)]
     rows = mixed_rows(n_rows, 200)
     monkeypatch.setattr(csvfile, "PARALLEL_CELLS", 1)
-    monkeypatch.setattr(csvfile, "_cpus", lambda: cpus)
+    monkeypatch.setattr(forked, "cpus", lambda: cpus)
     write_csv(tmp_path / "blocks.csv", header, rows, "cmd=test seed=1")
     assert len(forks) == min(cpus, n_rows) - 1
-    monkeypatch.setattr(csvfile, "_cpus", lambda: 1)
+    monkeypatch.setattr(forked, "cpus", lambda: 1)
     write_csv(tmp_path / "serial.csv", header, rows, "cmd=test seed=1")
     assert len(forks) == min(cpus, n_rows) - 1
     blocks = (tmp_path / "blocks.csv").read_bytes()
@@ -73,7 +54,7 @@ def test_lazy_rows_of_a_large_table_use_every_cpu(tmp_path, monkeypatch,
     and still reads like the in-process file."""
     rows = mixed_rows(9, csvfile.PARALLEL_CELLS // 8)
     header = list(range(len(rows[0])))
-    monkeypatch.setattr(csvfile, "_cpus", lambda: 3)
+    monkeypatch.setattr(forked, "cpus", lambda: 3)
     write_csv(tmp_path / "lazy.csv", header,
               LazyRows(len(rows), lambda i: rows[i]))
     assert len(forks) == 2
@@ -96,7 +77,7 @@ def test_a_failing_block_leaves_no_file_and_no_child(
     rows = mixed_rows(7, 50)
     rows[bad_row][10] = BadCell()
     monkeypatch.setattr(csvfile, "PARALLEL_CELLS", 1)
-    monkeypatch.setattr(csvfile, "_cpus", lambda: 3)
+    monkeypatch.setattr(forked, "cpus", lambda: 3)
     out = tmp_path / "out"
     out.mkdir()
     with pytest.raises(error, match="unprintable cell"):
@@ -109,7 +90,7 @@ def test_a_failing_block_leaves_no_file_and_no_child(
 def test_a_child_killed_by_a_signal_is_reported(tmp_path, monkeypatch):
     rows = LazyRows(4, lambda i: os.kill(os.getpid(), 9) if i == 3 else [i])
     monkeypatch.setattr(csvfile, "PARALLEL_CELLS", 1)
-    monkeypatch.setattr(csvfile, "_cpus", lambda: 2)
+    monkeypatch.setattr(forked, "cpus", lambda: 2)
     with pytest.raises(ChildProcessError, match="rows 2-3 .* signal 9"):
         write_csv(tmp_path / "t.csv", ["a"], rows)
     assert_no_child_left()

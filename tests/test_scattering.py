@@ -1,12 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 
+from wavescat import forked, scattering
 from wavescat.errors import DataError
 from wavescat.model import Chamber, Channel, Group, Phase, Segment
 from wavescat.pipeline import FeatureTable, segment_labels, table_to_csv
 from wavescat.scattering import (ScatteringParams, feature_matrix,
                                  path_names, scatter)
 
+from conftest import assert_no_child_left
 from oracles import full_grid_scatter, layer_energies
 
 FS = 1000.0
@@ -169,6 +173,61 @@ def test_feature_matrix_row_independence_under_permutation():
     assert np.array_equal(permuted, matrix[perm])
 
 
+@pytest.mark.parametrize("cpus", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_feature_matrix_rows_do_not_depend_on_the_cpu_count(
+        monkeypatch, forks, n, cpus):
+    """Split over forked children, the rows keep every bit of a one-CPU
+    run, also with fewer segments than CPUs."""
+    segments = [seg(bandlimited_noise(s)) for s in range(n)]
+    monkeypatch.setattr(scattering, "PARALLEL_SEGMENTS", 1)
+    monkeypatch.setattr(forked, "cpus", lambda: 1)
+    serial, paths, _ = feature_matrix(segments, PARAMS)
+    assert forks == []
+    monkeypatch.setattr(forked, "cpus", lambda: cpus)
+    matrix, block_paths, returned = feature_matrix(segments, PARAMS)
+    assert len(forks) == min(cpus, n) - 1
+    assert matrix.tobytes() == serial.tobytes()
+    assert block_paths == paths
+    assert all(a is b for a, b in zip(returned, segments, strict=True))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("in_child, error, match", [
+    (True, ChildProcessError, r"^scattering rows 2-3 failed: "
+                              r"ValueError: no transform here$"),
+    (False, ValueError, "no transform here"),
+])
+def test_a_failing_block_raises_once_every_child_has_exited(
+        monkeypatch, in_child, error, match):
+    """A child's failure names its rows; a failure in the parent's own
+    block still waits for every child."""
+    parent = os.getpid()
+    transform = scattering._Engine.transform
+
+    def failing(self, x):
+        if (os.getpid() != parent) == in_child:
+            raise ValueError("no transform here")
+        return transform(self, x)
+
+    monkeypatch.setattr(scattering._Engine, "transform", failing)
+    monkeypatch.setattr(scattering, "PARALLEL_SEGMENTS", 1)
+    monkeypatch.setattr(forked, "cpus", lambda: 3)
+    with pytest.raises(error, match=match):
+        feature_matrix([seg(bandlimited_noise(s)) for s in range(7)], PARAMS)
+    assert_no_child_left()
+
+
+def test_fewer_segments_than_the_floor_fork_no_child(monkeypatch, forks):
+    monkeypatch.setattr(forked, "cpus", lambda: 2)
+    xs = [bandlimited_noise(s) for s in range(scattering.PARALLEL_SEGMENTS)]
+    feature_matrix([seg(x) for x in xs[1:]], PARAMS)
+    assert forks == []
+    feature_matrix([seg(x) for x in xs], PARAMS)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
 def test_feature_matrix_validation():
     with pytest.raises(DataError, match="no segments"):
         feature_matrix([], PARAMS)
@@ -195,6 +254,9 @@ def test_params_validation():
             ScatteringParams(t=t)
     with pytest.raises(DataError):
         ScatteringParams(q1=1, q2=4)
+    for gamma in (0.0, -3.0, np.nan):
+        with pytest.raises(DataError, match="gamma must be positive"):
+            ScatteringParams(gamma=gamma)
 
 
 def test_band_defaults_follow_invariance_scale():

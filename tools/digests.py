@@ -78,6 +78,8 @@ RUNS = [
     # runs out of memory at its first allocation (exit 3)
     (None, "synth --seed -1 --session-len 10"),
     (None, "synth --seed 1 --session-len 1e15 --fs 200"),
+    # a scattering gamma of 0 is refused before any transform (exit 3)
+    ("A", "joint --seed 1 --gamma 0"),
 ]
 
 TOKEN = "<RUN>"
