@@ -7,7 +7,7 @@ from .coherence import (CoherenceMap, SmoothingSpec, coherence,
 from .cwt import Scalogram, cwt, scalogram_magnitude
 from .errors import BundleFormatError, DataError, NumericalError
 from .model import (Chamber, Channel, Group, Phase, RecordingSession,
-                    Segment, TimeSeries, load_session, save_session,
+                    TimeSeries, load_session, save_session,
                     segment_by_chamber, stratified_folds)
 from .morse import FilterBank, MorseParams, build_filterbank, morse_hat, \
     peak_frequency
@@ -23,8 +23,7 @@ NUMBA_ENABLED = False
 __all__ = [
     "__version__",
     "BundleFormatError", "DataError", "NumericalError",
-    "Chamber", "Channel", "Group", "Phase", "RecordingSession", "Segment",
-    "TimeSeries",
+    "Chamber", "Channel", "Group", "Phase", "RecordingSession", "TimeSeries",
     "load_session", "save_session", "segment_by_chamber", "stratified_folds",
     "FilterBank", "MorseParams", "build_filterbank", "morse_hat",
     "peak_frequency",

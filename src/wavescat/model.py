@@ -1,4 +1,4 @@
-"""Recording data model, session bundle I/O, segmentation, fold splitting.
+"""Recording data model, session bundle I/O, window labels, fold splitting.
 
 A session bundle is a single binary file:
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +60,24 @@ class Chamber(enum.Enum):
     @property
     def display(self) -> str:
         return self.name.capitalize()
+
+
+# A label record's channel, phase and group codes index these tuples,
+# whose (channel, phase, group) product over HIP and NAc is the joint
+# class order; its chamber code is the track code.
+CHANNELS = ("HIP", "NAc", "HIP-NAc")
+JOINT_PHASES = (Phase.POST, Phase.PRE)
+JOINT_GROUPS = (Group.MORPHINE, Group.FOOD, Group.SALINE)
+
+
+def label_dtype(rat_ids) -> np.dtype:
+    """One row's label record: group, phase, channel and chamber codes,
+    the first sample of the row's window, then the rat id in a field as
+    wide as the longest of ``rat_ids``."""
+    width = max([1, *map(len, rat_ids)])
+    return np.dtype([("group", "u1"), ("phase", "u1"), ("channel", "u1"),
+                     ("chamber", "u1"), ("start", "<i8"),
+                     ("rat", f"U{width}")])
 
 
 @dataclass
@@ -127,19 +145,6 @@ class RecordingSession:
     def chamber_per_sample(self) -> np.ndarray:
         """Zero-order-hold chamber code per sample; -1 before the first fix."""
         return chamber_codes(self.track, self.fs, self.hip.samples.size)
-
-
-@dataclass
-class Segment:
-    """A fixed-length, single-channel window with constant chamber label."""
-
-    samples: np.ndarray
-    group: Group
-    phase: Phase
-    channel: Channel
-    chamber: Chamber
-    start_time: float
-    rat_id: str = ""
 
 
 def _track_from_pairs(pairs) -> np.ndarray:
@@ -324,21 +329,30 @@ def chamber_windows(session: RecordingSession, window_len: float,
     return win, step, starts, codes[starts]
 
 
+def window_labels(session: RecordingSession, starts: np.ndarray,
+                  codes: np.ndarray, channels) -> np.recarray:
+    """The label records of ``session``'s windows, which begin at the
+    samples ``starts`` and hold the chamber codes ``codes``: per window,
+    one record for each ``CHANNELS`` entry in ``channels``, in order.
+    Their items read their fields as attributes."""
+    per = len(channels)
+    labels = np.empty(starts.size * per, label_dtype([session.rat_id]))
+    labels["group"] = JOINT_GROUPS.index(session.group)
+    labels["phase"] = JOINT_PHASES.index(session.phase)
+    labels["channel"] = np.tile([CHANNELS.index(c) for c in channels],
+                                starts.size)
+    labels["chamber"] = np.repeat(codes, per)
+    labels["start"] = np.repeat(starts, per)
+    labels["rat"] = session.rat_id
+    return labels.view(np.recarray)
+
+
 def segment_by_chamber(session: RecordingSession, window_len: float,
-                       hop: float) -> list[Segment]:
-    """Cut both channels into the windows of ``chamber_windows``; emits
-    the HIP segment then the NAc segment per window. Each segment's
-    samples are a read-only view of the session's array, not a copy."""
-    win, _, starts, codes = chamber_windows(session, window_len, hop)
-    segments: list[Segment] = []
-    for start, code in zip(starts.tolist(), codes.tolist()):
-        for chan in (Channel.HIP, Channel.NAC):
-            data = session.channel(chan).samples[start:start + win]
-            data.flags.writeable = False
-            segments.append(Segment(data, session.group, session.phase,
-                                    chan, Chamber(code), start / session.fs,
-                                    session.rat_id))
-    return segments
+                       hop: float) -> np.recarray:
+    """The label records of both channels' windows from
+    ``chamber_windows``: the HIP record then the NAc record per window."""
+    _, _, starts, codes = chamber_windows(session, window_len, hop)
+    return window_labels(session, starts, codes, CHANNELS[:2])
 
 
 def stratified_folds(keys, k: int, seed: int) -> list[np.ndarray]:

@@ -125,13 +125,15 @@ def build_filterbank(n: int, fs: float, params: MorseParams | None = None,
     if voices_per_octave < 1:
         raise DataError("voices_per_octave must be >= 1")
     n_scales = int(np.floor(voices_per_octave * np.log2(fmax / fmin))) + 1
+    # the largest array comes first: a bank too large for memory then
+    # fails at once, before the per-voice arrays fill memory
+    filters = np.empty((n_scales, n))
     centers = fmax * 2.0 ** (-np.arange(n_scales) / voices_per_octave)
     omega_p = peak_frequency(params)
     # DFT grid in rad/sample; bins above n//2 are negative frequencies.
     k = np.arange(n)
     omega = 2.0 * np.pi * k / n
     omega[k > n // 2] = -1.0  # forced to the zero branch
-    filters = np.empty((n_scales, n))
     for j, fc in enumerate(centers):
         omega_j = 2.0 * np.pi * fc / fs
         filters[j] = morse_hat(omega * (omega_p / omega_j), params)

@@ -10,14 +10,14 @@ the cone of influence (Torrence & Compo 1998) or, for a scale with none,
 the whole window, so every window yields a complete row (the
 contamination is identical across equal-length sessions and adds no
 label information).
-Scattering features are computed per segment, matching
-``scattering.scatter`` bit for bit.
+Scattering features are computed per window, each a view of the
+session's channel, matching ``scattering.scatter`` bit for bit.
 
-A ``FeatureTable`` labels each row with one ``label_dtype`` record
-(group, phase, channel and chamber codes and the whole rat id), filled
-by array assignment per session, or converted from the ``Segment``s
-that ``feature_matrix`` returns; CSV cells, class ids and row
-selections are array operations on those records.
+A ``FeatureTable`` labels each row with one ``model.label_dtype`` record
+(group, phase, channel and chamber codes, the window's start sample and
+the whole rat id). Every table builds its records per session with
+``model.window_labels``; CSV cells, class ids and row selections are
+array operations on those records.
 """
 
 from __future__ import annotations
@@ -32,18 +32,13 @@ from .coherence import SmoothingSpec, coherence
 from .csvfile import LazyRows, write_csv
 from .cwt import cwt, next_pow2, scalogram_magnitude
 from .errors import DataError
-from .model import (Chamber, Channel, Group, Phase, RecordingSession,
-                    chamber_windows, load_session, segment_by_chamber)
+from .model import (CHANNELS, JOINT_GROUPS, JOINT_PHASES, Chamber, Channel,
+                    Group, Phase, RecordingSession, chamber_windows,
+                    load_session, segment_by_chamber, window_labels)
 from .morse import MorseParams, build_filterbank
 from .classify import Dataset
 from .scattering import ScatteringParams, feature_matrix, path_names
 
-# A label record's channel, phase and group codes index these tuples,
-# whose (channel, phase, group) product over HIP and NAc is the joint
-# class order; its chamber code is the track code.
-CHANNELS = ("HIP", "NAc", "HIP-NAc")
-JOINT_PHASES = (Phase.POST, Phase.PRE)
-JOINT_GROUPS = (Group.MORPHINE, Group.FOOD, Group.SALINE)
 # the chamber classes, in confusion-chart order
 CHAMBER_ORDER = (Chamber.REWARDED, Chamber.NULL, Chamber.UNREWARDED)
 
@@ -74,23 +69,6 @@ def load_sessions(paths) -> list[RecordingSession]:
     sessions = [load_session(p) for p in paths]
     sessions.sort(key=lambda s: (s.rat_id, s.group.value, s.phase.value))
     return sessions
-
-
-def label_dtype(rat_ids) -> np.dtype:
-    """One row's label record: group, phase, channel and chamber codes,
-    then the rat id in a field as wide as the longest of ``rat_ids``."""
-    width = max([1, *map(len, rat_ids)])
-    return np.dtype([("group", "u1"), ("phase", "u1"), ("channel", "u1"),
-                     ("chamber", "u1"), ("rat", f"U{width}")])
-
-
-def segment_labels(segments) -> np.ndarray:
-    """The label records of a list of ``Segment``s."""
-    return np.array(
-        [(JOINT_GROUPS.index(s.group), JOINT_PHASES.index(s.phase),
-          CHANNELS.index(s.channel.display), s.chamber.value, s.rat_id)
-         for s in segments],
-        label_dtype({s.rat_id for s in segments}))
 
 
 @dataclass
@@ -173,19 +151,15 @@ def _window_table(sessions, window_len, hop, bank_cfg, session_rows, names,
                           sessions[0].fs).center_frequencies
     columns = [f"{name}[{f:.4g}]" for name in names for f in freqs]
     matrix = np.empty((n_rows, len(columns)))
-    labels = np.empty(n_rows, label_dtype({s.rat_id for s in sessions}))
-    labels["channel"] = CHANNELS.index(channel)
+    labels = []
     row = 0
     for session, (win, step, starts, codes) in zip(sessions, grids):
         bank = bank_cfg.bank(session.hip.samples.size, session.fs)
         rows = slice(row, row + starts.size)
         matrix[rows] = session_rows(session, bank, (win, step, starts)).T
-        labels["group"][rows] = JOINT_GROUPS.index(session.group)
-        labels["phase"][rows] = JOINT_PHASES.index(session.phase)
-        labels["chamber"][rows] = codes
-        labels["rat"][rows] = session.rat_id
+        labels.append(window_labels(session, starts, codes, (channel,)))
         row = rows.stop
-    return FeatureTable(matrix, columns, labels)
+    return FeatureTable(matrix, columns, np.concatenate(labels))
 
 
 def cwt_table(sessions, channel: Channel, window_len: float, hop: float,
@@ -206,13 +180,21 @@ def wcoh_table(sessions, window_len: float, hop: float, bank_cfg: BankConfig,
 
 def scatter_table(sessions, window_len: float, hop: float,
                   params: ScatteringParams) -> FeatureTable:
-    segments = []
+    """The scattering row of each channel of each window, HIP then NAc
+    per window, as ``segment_by_chamber`` labels them; each window is a
+    view of its session's channel."""
+    labels, windows = [], []
     for session in sessions:
-        segments.extend(segment_by_chamber(session, window_len, hop))
-    if not segments:
+        records = segment_by_chamber(session, window_len, hop)
+        win = chamber_windows(session, window_len, hop)[0]
+        samples = (session.hip.samples, session.nac.samples)  # CHANNELS[:2]
+        windows += [samples[channel][start:start + win] for channel, start
+                    in zip(records.channel.tolist(), records.start.tolist())]
+        labels.append(records)
+    if not windows:
         raise DataError("no chamber-constant windows found")
-    matrix, paths, segments = feature_matrix(segments, params)
-    return FeatureTable(matrix, path_names(paths), segment_labels(segments))
+    matrix, paths, _ = feature_matrix(windows, params)
+    return FeatureTable(matrix, path_names(paths), np.concatenate(labels))
 
 
 def table_to_csv(table: FeatureTable, path, config_line: str = "") -> None:

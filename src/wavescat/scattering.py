@@ -257,29 +257,29 @@ def scatter(x, params: ScatteringParams) -> ScatteringFeatures:
     return ScatteringFeatures(eng.transform(x), list(eng.paths))
 
 
-def feature_matrix(segments, params: ScatteringParams):
-    """Stack scatter() rows for equal-length segments.
+def feature_matrix(windows, params: ScatteringParams):
+    """Stack scatter() rows for a sequence of equal-length 1-D windows.
 
-    Returns (matrix, paths, segments); the row order equals the input
+    Returns (matrix, paths, windows); the row order equals the input
     order and each row is bit-identical to a standalone scatter() call.
-    From ``PARALLEL_SEGMENTS`` segments on, they are split into one
+    From ``PARALLEL_SEGMENTS`` windows on, they are split into one
     contiguous block per CPU: this process transforms the first block
     and forked children the others, with the same engine, so the rows
     do not depend on the CPU count.
     """
-    segments = list(segments)
-    if not segments:
+    windows = list(windows)
+    if not windows:
         raise DataError("no segments given")
-    lengths = {s.samples.size for s in segments}
+    lengths = set(map(len, windows))
     if len(lengths) != 1:
         raise DataError(f"ragged segment lengths: {sorted(lengths)}")
     # built here, before any fork, so no child builds a filter bank
     eng = _engine(params, lengths.pop())
-    matrix = np.empty((len(segments), len(eng.paths)))
+    matrix = np.empty((len(windows), len(eng.paths)))
 
     def fill(start: int, stop: int) -> None:
         for i in range(start, stop):
-            matrix[i] = eng.transform(segments[i].samples)
+            matrix[i] = eng.transform(windows[i])
 
     def child(part, start: int, stop: int) -> None:
         fill(start, stop)
@@ -288,10 +288,10 @@ def feature_matrix(segments, params: ScatteringParams):
     def gather(part, start: int, stop: int) -> None:
         part.readinto(matrix[start:stop])
 
-    forked.run_blocks(len(segments), fill, child, gather,
+    forked.run_blocks(len(windows), fill, child, gather,
                       lambda start, stop: f"scattering rows {start}-{stop - 1}",
-                      fork=len(segments) >= PARALLEL_SEGMENTS)
-    return matrix, list(eng.paths), segments
+                      fork=len(windows) >= PARALLEL_SEGMENTS)
+    return matrix, list(eng.paths), windows
 
 
 def path_names(paths) -> list[str]:

@@ -14,8 +14,8 @@ from wavescat.classify import (ConfusionMatrix, confusion_to_csv, train_mlp,
 from wavescat import cli, csvfile, forked, pipeline, scattering
 from wavescat.cli import OPTIONS, Config, build_parser, main
 from wavescat.coherence import SmoothingSpec
-from wavescat.model import (Chamber, Channel, Group, Phase, load_session,
-                            save_session)
+from wavescat.model import (Chamber, Channel, Group, Phase, save_session,
+                            segment_by_chamber)
 from wavescat.pipeline import (BankConfig, chamber_dataset, cwt_table,
                                load_sessions, wcoh_table)
 from wavescat.scattering import ScatteringParams, scatter
@@ -124,15 +124,15 @@ def test_features_scatter_matches_library_bitwise(tmp_path,
     assert main(["features", "scatter", "--data", str(data),
                  "--out", str(out)]) == 0
     lines = (out / "features_scatter.csv").read_text().splitlines()
-    segments_in_order = []
-    from wavescat.model import segment_by_chamber
     session = load_sessions([str(data / "rat1_food_post.wscat")])[0]
-    segments_in_order = segment_by_chamber(session, 1.0, 0.5)
+    labels = segment_by_chamber(session, 1.0, 0.5)
+    assert len(lines[2:]) == len(labels)
+    samples = (session.hip.samples, session.nac.samples)
     params = ScatteringParams(fs=session.fs)
-    for line, seg in zip(lines[2:], segments_in_order):
+    for line, label in zip(lines[2:], labels):
         got = np.array([float(v) for v in line.split(",")[:-4]])
-        expected = scatter(seg.samples, params).values
-        assert np.array_equal(got, expected)
+        window = samples[label.channel][label.start:label.start + 1000]
+        assert np.array_equal(got, scatter(window, params).values)
 
 
 def test_features_cwt_and_wcoh_match_per_window_oracle(tmp_path):
@@ -772,6 +772,22 @@ def test_a_session_beyond_any_address_space_exits_3(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["synth", "--seed", "1", "--session-len", "1e15",
                  "--fs", "200", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: out of memory: ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_a_bank_beyond_any_address_space_exits_3(tmp_path, capsys):
+    # 664 M voices of 32768 bins, 158 TiB: the filter array is allocated
+    # first, so the bank fails at once
+    data = tmp_path / "data"
+    data.mkdir()
+    save_session(make_session(np.ones(20_000), np.ones(20_000)),
+                 data / "rat1_food_post.wscat")
+    out = tmp_path / "out"
+    assert main(["features", "cwt", "--voices", "100000000",
+                 "--data", str(data), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: out of memory: ")
     assert len(err.splitlines()) == 1

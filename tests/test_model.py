@@ -4,9 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavescat.errors import BundleFormatError, DataError
-from wavescat.model import (TRACK, Chamber, Channel, Group, Phase,
-                            TimeSeries, chamber_codes, load_session,
-                            save_session, segment_by_chamber,
+from wavescat.model import (CHANNELS, TRACK, Chamber, Channel, Group, Phase,
+                            TimeSeries, chamber_codes, chamber_windows,
+                            load_session, save_session, segment_by_chamber,
                             stratified_folds)
 from wavescat.synth import SynthSpec, generate_session
 
@@ -175,48 +175,37 @@ def test_track_faults_match_per_record_oracle(tmp_path_factory, drawn):
 # ---------------------------------------------------------------------------
 
 def test_single_chamber_window_count(single_chamber_session):
-    segments = segment_by_chamber(single_chamber_session, 1.0, 0.5)
-    assert len(segments) == 19 * 2  # floor((10-1)/0.5)+1 windows x 2 channels
-    assert {s.channel for s in segments} == {Channel.HIP, Channel.NAC}
-    assert all(s.chamber is Chamber.REWARDED for s in segments)
-    assert all(s.samples.size == 1000 for s in segments)
-
-
-def test_segments_are_read_only_views_of_the_session(single_chamber_session):
-    session = single_chamber_session
-    segments = segment_by_chamber(session, 1.0, 0.5)
-    for seg in segments:
-        samples = session.channel(seg.channel).samples
-        start = int(round(seg.start_time * session.fs))
-        assert np.shares_memory(seg.samples, samples)
-        assert not seg.samples.flags.writeable
-        assert np.array_equal(seg.samples, samples[start:start + 1000])
-    with pytest.raises(ValueError, match="read-only"):
-        segments[0].samples[0] = 0.0
-    assert session.hip.samples.flags.writeable
+    labels = segment_by_chamber(single_chamber_session, 1.0, 0.5)
+    assert len(labels) == 19 * 2  # floor((10-1)/0.5)+1 windows x 2 channels
+    # the HIP record then the NAc record of each window
+    assert [CHANNELS[c] for c in labels.channel] == ["HIP", "NAc"] * 19
+    assert labels.start.tolist() == [500 * (i // 2) for i in range(38)]
+    assert all(s.chamber == Chamber.REWARDED.value for s in labels)
+    win, step, _, _ = chamber_windows(single_chamber_session, 1.0, 0.5)
+    assert (win, step) == (1000, 500)
 
 
 def test_transition_windows_dropped_against_bruteforce():
     track = [(0.0, Chamber.REWARDED.value), (5.0, Chamber.NULL.value)]
     session = make_session(np.zeros(10_000), np.zeros(10_000), track=track)
-    segments = segment_by_chamber(session, 1.0, 1.0)
-    hip_segs = [s for s in segments if s.channel is Channel.HIP]
-    starts = {s.start_time: s.chamber for s in hip_segs}
-    assert starts[4.0] is Chamber.REWARDED
-    assert starts[5.0] is Chamber.NULL
+    labels = segment_by_chamber(session, 1.0, 1.0)
+    hip = labels[labels.channel == CHANNELS.index("HIP")]
+    starts = dict(zip(hip.start.tolist(), hip.chamber.tolist()))
+    assert starts[4000] == Chamber.REWARDED.value
+    assert starts[5000] == Chamber.NULL.value
     # brute force: per-sample scan of label constancy on the hop grid
     codes = session.chamber_per_sample()
     expected = sum(1 for start in range(0, 10_000 - 1000 + 1, 1000)
                    if len(set(codes[start:start + 1000])) == 1)
-    assert len(hip_segs) == expected == 10
+    assert len(hip) == expected == 10
 
 
 def test_all_three_chambers_appear():
     track = [(0.0, Chamber.REWARDED.value), (3.0, Chamber.NULL.value),
              (6.0, Chamber.UNREWARDED.value)]
     session = make_session(np.zeros(9000), np.zeros(9000), track=track)
-    segments = segment_by_chamber(session, 1.0, 0.5)
-    assert ({s.chamber for s in segments}
+    labels = segment_by_chamber(session, 1.0, 0.5)
+    assert ({Chamber(s.chamber) for s in labels}
             == {Chamber.REWARDED, Chamber.NULL, Chamber.UNREWARDED})
 
 
@@ -232,11 +221,12 @@ def test_segmentation_exhaustive_and_exclusive(n_changes, seed):
             track.append((float(t), int(rng.integers(0, 3))))
     session = make_session(np.zeros(int(dur * fs)), np.zeros(int(dur * fs)),
                            fs=fs, track=track)
-    segments = segment_by_chamber(session, 1.0, 0.5)
-    emitted = {s.start_time for s in segments if s.channel is Channel.HIP}
+    labels = segment_by_chamber(session, 1.0, 0.5)
+    emitted = set(labels.start[labels.channel == CHANNELS.index("HIP")]
+                  .tolist())
     codes = session.chamber_per_sample()
     win, hop = int(fs), int(0.5 * fs)
-    expected = {start / fs for start in range(0, codes.size - win + 1, hop)
+    expected = {start for start in range(0, codes.size - win + 1, hop)
                 if codes[start] >= 0
                 and len(set(codes[start:start + win])) == 1}
     assert emitted == expected

@@ -115,6 +115,13 @@ def test_bank_validation():
         build_filterbank(2, 1000.0, MorseParams(), 10, 1.0, 100.0)
 
 
+def test_a_bank_beyond_any_address_space_fails_at_its_filter_array():
+    # 664 M voices of 32768 bins, 158 TiB: the filter array comes before
+    # any per-voice array, so nothing fills memory first
+    with pytest.raises(MemoryError, match=r"\(664385619, 32768\)"):
+        build_filterbank(2 ** 15, 1000.0, voices_per_octave=10 ** 8)
+
+
 def test_efold_times_decrease_with_frequency():
     bank = build_filterbank(4096, 1000.0, MorseParams(), 6, 2.0, 100.0)
     times = bank.efold_times()

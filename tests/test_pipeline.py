@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from wavescat import pipeline
 from wavescat.coherence import SmoothingSpec
-from wavescat.model import (Chamber, Channel, Group, Phase, chamber_windows,
+from wavescat.model import (CHANNELS, JOINT_GROUPS, JOINT_PHASES, Chamber,
+                            Channel, Group, Phase, chamber_windows,
                             segment_by_chamber)
-from wavescat.pipeline import (CHANNELS, JOINT_GROUPS, JOINT_PHASES,
-                               BankConfig, cwt_table, scatter_table,
+from wavescat.pipeline import (BankConfig, cwt_table, scatter_table,
                                wcoh_table)
 from wavescat.scattering import ScatteringParams
 
@@ -133,9 +133,9 @@ def test_wcoh_table_peak_memory_is_bounded():
 
 
 def _labels(table):
-    """(group, phase, channel, chamber, rat id) of every table row."""
-    return [(JOINT_GROUPS[g], JOINT_PHASES[p], CHANNELS[c], Chamber(ch), rat)
-            for g, p, c, ch, rat in table.segments.tolist()]
+    """(group, phase, channel, chamber, start, rat id) of every table row."""
+    return [(JOINT_GROUPS[g], JOINT_PHASES[p], CHANNELS[c], Chamber(ch), start,
+             rat) for g, p, c, ch, start, rat in table.segments.tolist()]
 
 
 def test_every_table_row_carries_its_window_labels():
@@ -148,24 +148,52 @@ def test_every_table_row_carries_its_window_labels():
                     ("r", Group.FOOD, Phase.POST),
                     ("rat-with-a-longer-id", Group.MORPHINE, Phase.PRE),
                     ("rat2", Group.SALINE, Phase.POST)]]
-    windows = [(s, chamber_windows(s, 1.0, 0.5)[3]) for s in sessions]
+    windows = []                    # (session, start, chamber) per window
+    for s in sessions:
+        _, _, starts, codes = chamber_windows(s, 1.0, 0.5)
+        windows += [(s, start, Chamber(code))
+                    for start, code in zip(starts.tolist(), codes.tolist())]
     for table, channel in [
             (cwt_table(sessions, Channel.NAC, 1.0, 0.5, BANK), "NAc"),
             (wcoh_table(sessions, 1.0, 0.5, BANK, SmoothingSpec()),
              "HIP-NAc")]:
         assert len(table.segments) == table.matrix.shape[0]
         assert _labels(table) == [
-            (s.group, s.phase, channel, Chamber(code), s.rat_id)
-            for s, codes in windows for code in codes.tolist()]
+            (s.group, s.phase, channel, chamber, start, s.rat_id)
+            for s, start, chamber in windows]
+    # every window twice, the HIP row then the NAc row
     table = scatter_table(sessions, 1.0, 0.5, ScatteringParams(fs=250.0))
     assert _labels(table) == [
-        (seg.group, seg.phase, seg.channel.display, seg.chamber, seg.rat_id)
-        for s in sessions for seg in segment_by_chamber(s, 1.0, 0.5)]
+        (s.group, s.phase, channel, chamber, start, s.rat_id)
+        for s, start, chamber in windows for channel in ("HIP", "NAc")]
+    assert table.segments.tolist() == [
+        record for s in sessions
+        for record in segment_by_chamber(s, 1.0, 0.5).tolist()]
+
+
+def test_scatter_windows_are_views_of_the_session(monkeypatch,
+                                                  single_chamber_session):
+    session = single_chamber_session
+    passed = []
+
+    def capture(windows, params):
+        passed.extend(windows)
+        return np.zeros((len(windows), 1)), [()], windows
+
+    monkeypatch.setattr(pipeline, "feature_matrix", capture)
+    table = scatter_table([session], 1.0, 0.5, ScatteringParams())
+    assert len(passed) == len(table.segments) == 38
+    samples = (session.hip.samples, session.nac.samples)
+    for window, label in zip(passed, table.segments.tolist()):
+        channel, start = label[2], label[4]
+        assert np.shares_memory(window, samples[channel])
+        assert not np.shares_memory(window, samples[1 - channel])
+        assert np.array_equal(window, samples[channel][start:start + 1000])
 
 
 def test_table_labels_hold_a_few_bytes_a_row():
     """Beside its matrix, a table holds one fixed-width label record per
-    row (20 bytes for four-character rat ids), not an object per row."""
+    row (28 bytes for four-character rat ids), not an object per row."""
     n, fs = 5000, 250.0
     rng = np.random.default_rng(9)
     sessions = [make_session(rng.standard_normal(n), rng.standard_normal(n),

@@ -5,8 +5,9 @@ import pytest
 
 from wavescat import forked, scattering
 from wavescat.errors import DataError
-from wavescat.model import Chamber, Channel, Group, Phase, Segment
-from wavescat.pipeline import FeatureTable, segment_labels, table_to_csv
+from wavescat.model import (CHANNELS, JOINT_GROUPS, JOINT_PHASES, Chamber,
+                            Group, Phase, label_dtype)
+from wavescat.pipeline import FeatureTable, table_to_csv
 from wavescat.scattering import (ScatteringParams, feature_matrix,
                                  path_names, scatter)
 
@@ -152,14 +153,9 @@ def test_determinism_bitwise():
     assert np.array_equal(a, b)
 
 
-def seg(x, chamber=Chamber.REWARDED):
-    return Segment(np.asarray(x, dtype=float), Group.FOOD, Phase.POST,
-                   Channel.HIP, chamber, 0.0, "rat1")
-
-
 def test_feature_matrix_matches_scatter_bitwise():
     xs = [bandlimited_noise(s) for s in range(4)]
-    matrix, paths, _ = feature_matrix([seg(x) for x in xs], PARAMS)
+    matrix, paths, _ = feature_matrix(xs, PARAMS)
     for row, x in zip(matrix, xs):
         assert np.array_equal(row, scatter(x, PARAMS).values)
     assert paths == scatter(xs[0], PARAMS).paths
@@ -167,9 +163,9 @@ def test_feature_matrix_matches_scatter_bitwise():
 
 def test_feature_matrix_row_independence_under_permutation():
     xs = [bandlimited_noise(s) for s in range(5)]
-    matrix, _, _ = feature_matrix([seg(x) for x in xs], PARAMS)
+    matrix, _, _ = feature_matrix(xs, PARAMS)
     perm = [3, 1, 4, 0, 2]
-    permuted, _, _ = feature_matrix([seg(xs[i]) for i in perm], PARAMS)
+    permuted, _, _ = feature_matrix([xs[i] for i in perm], PARAMS)
     assert np.array_equal(permuted, matrix[perm])
 
 
@@ -179,17 +175,17 @@ def test_feature_matrix_rows_do_not_depend_on_the_cpu_count(
         monkeypatch, forks, n, cpus):
     """Split over forked children, the rows keep every bit of a one-CPU
     run, also with fewer segments than CPUs."""
-    segments = [seg(bandlimited_noise(s)) for s in range(n)]
+    windows = [bandlimited_noise(s) for s in range(n)]
     monkeypatch.setattr(scattering, "PARALLEL_SEGMENTS", 1)
     monkeypatch.setattr(forked, "cpus", lambda: 1)
-    serial, paths, _ = feature_matrix(segments, PARAMS)
+    serial, paths, _ = feature_matrix(windows, PARAMS)
     assert forks == []
     monkeypatch.setattr(forked, "cpus", lambda: cpus)
-    matrix, block_paths, returned = feature_matrix(segments, PARAMS)
+    matrix, block_paths, returned = feature_matrix(windows, PARAMS)
     assert len(forks) == min(cpus, n) - 1
     assert matrix.tobytes() == serial.tobytes()
     assert block_paths == paths
-    assert all(a is b for a, b in zip(returned, segments, strict=True))
+    assert all(a is b for a, b in zip(returned, windows, strict=True))
     assert_no_child_left()
 
 
@@ -214,16 +210,16 @@ def test_a_failing_block_raises_once_every_child_has_exited(
     monkeypatch.setattr(scattering, "PARALLEL_SEGMENTS", 1)
     monkeypatch.setattr(forked, "cpus", lambda: 3)
     with pytest.raises(error, match=match):
-        feature_matrix([seg(bandlimited_noise(s)) for s in range(7)], PARAMS)
+        feature_matrix([bandlimited_noise(s) for s in range(7)], PARAMS)
     assert_no_child_left()
 
 
 def test_fewer_segments_than_the_floor_fork_no_child(monkeypatch, forks):
     monkeypatch.setattr(forked, "cpus", lambda: 2)
     xs = [bandlimited_noise(s) for s in range(scattering.PARALLEL_SEGMENTS)]
-    feature_matrix([seg(x) for x in xs[1:]], PARAMS)
+    feature_matrix(xs[1:], PARAMS)
     assert forks == []
-    feature_matrix([seg(x) for x in xs], PARAMS)
+    feature_matrix(xs, PARAMS)
     assert len(forks) == 1
     assert_no_child_left()
 
@@ -232,7 +228,7 @@ def test_feature_matrix_validation():
     with pytest.raises(DataError, match="no segments"):
         feature_matrix([], PARAMS)
     with pytest.raises(DataError, match="ragged"):
-        feature_matrix([seg(np.zeros(1000)), seg(np.zeros(900))], PARAMS)
+        feature_matrix([np.zeros(1000), np.zeros(900)], PARAMS)
 
 
 def test_segment_shorter_than_t_rejected():
@@ -266,11 +262,15 @@ def test_band_defaults_follow_invariance_scale():
 
 def test_features_csv(tmp_path):
     xs = [bandlimited_noise(0), bandlimited_noise(1)]
-    segments = [seg(xs[0]), seg(xs[1], Chamber.NULL)]
-    matrix, paths, segments = feature_matrix(segments, PARAMS)
+    labels = np.array(
+        [(JOINT_GROUPS.index(Group.FOOD), JOINT_PHASES.index(Phase.POST),
+          CHANNELS.index("HIP"), chamber.value, 0, "rat1")
+         for chamber in (Chamber.REWARDED, Chamber.NULL)],
+        label_dtype(["rat1"]))
+    matrix, paths, _ = feature_matrix(xs, PARAMS)
     out = tmp_path / "features.csv"
-    table_to_csv(FeatureTable(matrix, path_names(paths),
-                              segment_labels(segments)), out, "cmd=test")
+    table_to_csv(FeatureTable(matrix, path_names(paths), labels), out,
+                 "cmd=test")
     lines = out.read_text().splitlines()
     header = lines[1].split(",")
     assert header[0] == "S0"

@@ -3,8 +3,8 @@ import pytest
 
 from wavescat.cwt import cwt, next_pow2
 from wavescat.errors import DataError
-from wavescat.model import (Chamber, Group, Phase, load_session,
-                            segment_by_chamber)
+from wavescat.model import (JOINT_GROUPS, JOINT_PHASES, Chamber, Group,
+                            Phase, load_session, segment_by_chamber)
 from wavescat.morse import MorseParams, build_filterbank
 from wavescat.synth import SynthSpec, generate_cohort, generate_session
 
@@ -122,11 +122,11 @@ def test_signature_power_scales_with_delta():
 def test_segments_from_synth_sessions_carry_labels():
     spec = SynthSpec(session_len=30.0, seed=21)
     session = generate_session(spec, "rat15", Group.FOOD, Phase.PRE)
-    segments = segment_by_chamber(session, 1.0, 0.5)
-    assert segments
-    assert all(s.group is Group.FOOD and s.phase is Phase.PRE
-               for s in segments)
-    assert all(s.rat_id == "rat15" for s in segments)
+    labels = segment_by_chamber(session, 1.0, 0.5)
+    assert len(labels)
+    assert all(JOINT_GROUPS[s.group] is Group.FOOD
+               and JOINT_PHASES[s.phase] is Phase.PRE for s in labels)
+    assert all(s.rat == "rat15" for s in labels)
 
 
 @pytest.mark.slow

@@ -80,6 +80,9 @@ RUNS = [
     (None, "synth --seed 1 --session-len 1e15 --fs 200"),
     # a scattering gamma of 0 is refused before any transform (exit 3)
     ("A", "joint --seed 1 --gamma 0"),
+    # 0.75 s at 250 Hz is 187.5 samples, which rounds to 188: the
+    # scattering windows must take their length from the window grid
+    ("B", "features scatter --window 0.75 --hop 0.3"),
 ]
 
 TOKEN = "<RUN>"
