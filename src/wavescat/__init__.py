@@ -2,17 +2,15 @@
 for two-channel LFP recordings, with a synthetic cohort generator and a
 batch CLI."""
 
-from .coherence import (CoherenceMap, SmoothingSpec, coherence,
-                        cross_spectrum, phase_overlay)
-from .cwt import Scalogram, cwt, scalogram_magnitude
+from .coherence import CoherenceMap, SmoothingSpec, coherence, phase_overlay
+from .cwt import Scalogram, cwt
 from .errors import BundleFormatError, DataError, NumericalError
 from .model import (Chamber, Channel, Group, Phase, RecordingSession,
                     TimeSeries, load_session, save_session,
                     segment_by_chamber, stratified_folds)
 from .morse import FilterBank, MorseParams, build_filterbank, morse_hat, \
     peak_frequency
-from .scattering import (ScatteringFeatures, ScatteringParams,
-                         feature_matrix, scatter)
+from .scattering import ScatteringParams, feature_matrix
 from .synth import SynthSpec, generate_cohort, generate_session
 
 __version__ = "0.1.0"
@@ -27,9 +25,8 @@ __all__ = [
     "load_session", "save_session", "segment_by_chamber", "stratified_folds",
     "FilterBank", "MorseParams", "build_filterbank", "morse_hat",
     "peak_frequency",
-    "Scalogram", "cwt", "scalogram_magnitude",
-    "CoherenceMap", "SmoothingSpec", "coherence", "cross_spectrum",
-    "phase_overlay",
-    "ScatteringFeatures", "ScatteringParams", "feature_matrix", "scatter",
+    "Scalogram", "cwt",
+    "CoherenceMap", "SmoothingSpec", "coherence", "phase_overlay",
+    "ScatteringParams", "feature_matrix",
     "SynthSpec", "generate_cohort", "generate_session",
 ]

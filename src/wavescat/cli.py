@@ -32,7 +32,7 @@ from .classify import (Dataset, confusion_from_counts_csv, confusion_stats,
 from .coherence import (SmoothingSpec, coherence, overlay_to_csv,
                         phase_overlay)
 from .csvfile import write_csv
-from .cwt import cwt, scalogram_magnitude, scalogram_to_csv
+from .cwt import cwt, scalogram_to_csv
 from .errors import DataError, NumericalError
 from .model import Channel, Group, Phase
 from .netpbm import to_gray, write_pgm
@@ -90,15 +90,14 @@ def _seed(text: str) -> int:
 
 
 def _sizes(text: str) -> str:
-    """Comma-separated layer sizes, checked but kept as the text that
-    the config line records."""
-    for size in filter(None, text.split(",")):
-        try:
-            int(size)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"not comma-separated integers: {text!r}") from None
-    return text
+    """Comma-separated layer sizes, recorded in the config line as
+    ``8,4`` however the value was spaced."""
+    try:
+        return ",".join(str(int(size))
+                        for size in filter(None, text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not comma-separated integers: {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -476,7 +475,7 @@ def cmd_report(cfg: Config):
     os.makedirs(out_dir, exist_ok=True)
     hip, nac = cwt(session.hip, bank), cwt(session.nac, bank)
     cmap = coherence(hip, nac, smoothing)
-    mag_hip, mag_nac = scalogram_magnitude(hip), scalogram_magnitude(nac)
+    mag_hip, mag_nac = np.abs(hip.coefficients), np.abs(nac.coefficients)
     del hip, nac    # freed before the CSV writers fork their children
     images = [("hip_scalogram", mag_hip, to_gray(mag_hip)),
               ("nac_scalogram", mag_nac, to_gray(mag_nac)),

@@ -60,8 +60,7 @@ class CoherenceMap:
     time_axis: np.ndarray
     coi: np.ndarray
 
-    def valid_mask(self) -> np.ndarray:
-        return self.scale_axis[:, None] >= self.coi[None, :]
+    valid_mask = Scalogram.valid_mask
 
 
 def _voices_per_octave(scale_axis) -> int:
@@ -69,15 +68,6 @@ def _voices_per_octave(scale_axis) -> int:
         return 1
     step = np.log2(scale_axis[0] / scale_axis[1])
     return max(1, int(round(1.0 / step)))
-
-
-def _widths(cx: Scalogram, cy: Scalogram, spec: SmoothingSpec):
-    """Smoothing widths for two scalograms on the same axes."""
-    if cx.coefficients.shape != cy.coefficients.shape:
-        raise DataError("scalogram shapes differ")
-    if not np.array_equal(cx.scale_axis, cy.scale_axis) or cx.fs != cy.fs:
-        raise DataError("scalogram axes differ")
-    return spec.widths(cx.scale_axis, cx.fs, _voices_per_octave(cx.scale_axis))
 
 
 def smooth(mat: np.ndarray, time_widths, scale_width: int) -> np.ndarray:
@@ -94,24 +84,22 @@ def _conj_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
-def cross_spectrum(cx: Scalogram, cy: Scalogram,
-                   spec: SmoothingSpec) -> np.ndarray:
-    """Smoothed cross-spectrum S(conj(Cx) * Cy)."""
-    tw, sw = _widths(cx, cy, spec)
-    return smooth(_conj_product(cx.coefficients, cy.coefficients), tw, sw)
-
-
 def coherence(cx: Scalogram, cy: Scalogram, spec: SmoothingSpec) -> CoherenceMap:
     """Smoothed coherence and phase of two scalograms on the same axes.
     The time boxcar, round(c_t * fs / f) samples at center frequency f,
     wraps around the signal's period, so it may be wider than the signal."""
-    tw, sw = _widths(cx, cy, spec)
+    if cx.coefficients.shape != cy.coefficients.shape:
+        raise DataError("scalogram shapes differ")
+    if not np.array_equal(cx.scale_axis, cy.scale_axis) or cx.fs != cy.fs:
+        raise DataError("scalogram axes differ")
+    tw, sw = spec.widths(cx.scale_axis, cx.fs,
+                         _voices_per_octave(cx.scale_axis))
     if int(tw.max()) <= 1 and sw <= 1:
         raise DataError("identity smoothing makes coherence trivially 1; "
                         "widen the time or scale kernel")
-    sxy = cross_spectrum(cx, cy, spec)
-    sxx = smooth(np.abs(cx.coefficients) ** 2, tw, sw).real
-    syy = smooth(np.abs(cy.coefficients) ** 2, tw, sw).real
+    sxy = smooth(_conj_product(cx.coefficients, cy.coefficients), tw, sw)
+    sxx = smooth(np.abs(cx.coefficients) ** 2, tw, sw)
+    syy = smooth(np.abs(cy.coefficients) ** 2, tw, sw)
     den = sxx * syy
     eps = EPS_DEN_REL * float(den.max()) if den.size else 0.0
     ok = den >= max(eps, np.finfo(np.float64).tiny)

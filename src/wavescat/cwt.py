@@ -94,10 +94,6 @@ def cwt(x: TimeSeries | np.ndarray, bank: FilterBank) -> Scalogram:
     )
 
 
-def scalogram_magnitude(s: Scalogram) -> np.ndarray:
-    return np.abs(s.coefficients)
-
-
 def next_pow2(n: int) -> int:
     """Smallest power of two >= n, for n >= 1."""
     return 1 << (n - 1).bit_length()

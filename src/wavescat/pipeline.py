@@ -9,9 +9,12 @@ exist. The one COI rule, ``_coi_mean``, averages a window's cells inside
 the cone of influence (Torrence & Compo 1998) or, for a scale with none,
 the whole window, so every window yields a complete row (the
 contamination is identical across equal-length sessions and adds no
-label information).
+label information). It finds those fallback cells once, and the CWT
+variance reads the same whole windows. In the wcoh table, a scale with
+no sample of a window inside the cone (or none with a defined phase)
+reads phase 0 for that window.
 Scattering features are computed per window, each a view of the
-session's channel, matching ``scattering.scatter`` bit for bit.
+session's channel that ``scattering.feature_matrix`` reads uncopied.
 
 A ``FeatureTable`` labels each row with one ``model.label_dtype`` record
 (group, phase, channel and chamber codes, the window's start sample and
@@ -30,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .coherence import SmoothingSpec, coherence
 from .csvfile import LazyRows, write_csv
-from .cwt import cwt, next_pow2, scalogram_magnitude
+from .cwt import cwt, next_pow2
 from .errors import DataError
 from .model import (CHANNELS, JOINT_GROUPS, JOINT_PHASES, Chamber, Channel,
                     Group, Phase, RecordingSession, chamber_windows,
@@ -100,26 +103,27 @@ def _window_sums(mat, grid):
 
 def _coi_mean(mat, valid, grid):
     """The COI-preferred mean: each row's mean over a window's ``valid``
-    cells, or over the whole window where it has none; and their counts."""
+    cells, or over the whole window where it has none. Also returns the
+    valid-cell counts, the (rows, windows) indices of the cells with
+    none, and those cells' whole windows, one per row."""
     win, _, starts = grid
     counts = _window_sums(valid, grid)
     sums = _window_sums(np.where(valid, mat, 0.0), grid)
     mean = sums / np.maximum(counts, 1)
-    for j, w in zip(*np.nonzero(counts == 0)):
-        mean[j, w] = mat[j, starts[w]:starts[w] + win].mean()
-    return mean, counts
+    empty = np.nonzero(counts == 0)
+    whole = sliding_window_view(mat, win, axis=1)[empty[0], starts[empty[1]]]
+    mean[empty] = whole.mean(axis=1)
+    return mean, counts, empty, whole
 
 
 def _cwt_rows(channel, session, bank, grid):
     scal = cwt(session.channel(channel), bank)
-    mag, valid = scalogram_magnitude(scal), scal.valid_mask()
+    mag, valid = np.abs(scal.coefficients), scal.valid_mask()
     del scal                      # the complex coefficients, freed early
-    mean, counts = _coi_mean(mag, valid, grid)
+    mean, counts, empty, whole = _coi_mean(mag, valid, grid)
     sq = _window_sums(np.where(valid, mag ** 2, 0.0), grid)
     var = sq / np.maximum(counts, 1) - mean ** 2
-    win, _, starts = grid
-    for j, w in zip(*np.nonzero(counts == 0)):
-        var[j, w] = mag[j, starts[w]:starts[w] + win].var()
+    var[empty] = whole.var(axis=1)
     return np.concatenate([mean, np.maximum(var, 0.0)])
 
 
@@ -127,7 +131,7 @@ def _wcoh_rows(smoothing, session, bank, grid):
     cmap = coherence(cwt(session.hip, bank), cwt(session.nac, bank),
                      smoothing)
     valid = cmap.valid_mask() & np.isfinite(cmap.phase)
-    coh_mean, counts = _coi_mean(cmap.coherence, valid, grid)
+    coh_mean, counts, _, _ = _coi_mean(cmap.coherence, valid, grid)
     sin = _window_sums(np.where(valid, np.sin(cmap.phase), 0.0), grid)
     cos = _window_sums(np.where(valid, np.cos(cmap.phase), 0.0), grid)
     phase_mean = np.where(counts > 0, np.arctan2(sin, cos), 0.0)

@@ -72,20 +72,6 @@ class ScatteringParams:
         return 1.0 / self.t
 
 
-@dataclass
-class ScatteringFeatures:
-    """Time-averaged coefficients plus their path metadata.
-
-    Paths are () for order 0, (f1,) for order 1 and (f1, f2) for order
-    2, ordered lexicographically by (order, f1 desc, f2 desc); the order
-    is a pure function of the parameters, so rows from different
-    segments align column for column.
-    """
-
-    values: np.ndarray
-    paths: list[tuple]
-
-
 def _support(row: np.ndarray, floor: float) -> int:
     """Last bin of ``row`` whose magnitude exceeds ``floor`` x its peak,
     -1 for a row that is zero on every bin."""
@@ -248,29 +234,25 @@ def _engine(params: ScatteringParams, n_sig: int) -> _Engine:
     return _Engine(params, n_sig)
 
 
-def scatter(x, params: ScatteringParams) -> ScatteringFeatures:
-    """Scattering feature vector of one segment."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DataError("segment must be 1-D")
-    eng = _engine(params, x.size)
-    return ScatteringFeatures(eng.transform(x), list(eng.paths))
-
-
 def feature_matrix(windows, params: ScatteringParams):
-    """Stack scatter() rows for a sequence of equal-length 1-D windows.
+    """Scattering rows of a sequence of equal-length 1-D windows.
 
-    Returns (matrix, paths, windows); the row order equals the input
-    order and each row is bit-identical to a standalone scatter() call.
-    From ``PARALLEL_SEGMENTS`` windows on, they are split into one
-    contiguous block per CPU: this process transforms the first block
-    and forked children the others, with the same engine, so the rows
-    do not depend on the CPU count.
+    Returns (matrix, paths, windows): one time-averaged coefficient row
+    per window, in input order, and the windows as float64 arrays.
+    Paths are () for order 0, (f1,) for order 1 and (f1, f2) for order
+    2, ordered lexicographically by (order, f1 desc, f2 desc); the order
+    is a pure function of the parameters, so rows from different
+    segments align column for column. From ``PARALLEL_SEGMENTS`` windows
+    on, they are split into one contiguous block per CPU: this process
+    transforms the first block and forked children the others, with the
+    same engine, so the rows do not depend on the CPU count.
     """
-    windows = list(windows)
+    windows = [np.asarray(w, dtype=np.float64) for w in windows]
     if not windows:
         raise DataError("no segments given")
-    lengths = set(map(len, windows))
+    if any(w.ndim != 1 for w in windows):
+        raise DataError("segment must be 1-D")
+    lengths = {w.size for w in windows}
     if len(lengths) != 1:
         raise DataError(f"ragged segment lengths: {sorted(lengths)}")
     # built here, before any fork, so no child builds a filter bank

@@ -23,7 +23,7 @@ filters) and redo its layer transforms to sum each trajectory's energy.
 import numpy as np
 
 from wavescat.coherence import coherence
-from wavescat.cwt import cwt, scalogram_magnitude
+from wavescat.cwt import cwt
 from wavescat.errors import BundleFormatError, DataError
 from wavescat.model import Chamber
 from wavescat.morse import MorseParams, build_filterbank
@@ -250,7 +250,7 @@ def cwt_rows_by_window(session, channel, window_len, hop, bank):
     number of (scale, window) cells with no COI-reliable cell."""
     win, windows = chamber_windows_by_start(session, window_len, hop)
     scal = cwt(session.channel(channel), bank)
-    mag = scalogram_magnitude(scal)
+    mag = np.abs(scal.coefficients)
     valid = scal.valid_mask()
     rows, fallback = [], 0
     for start, chamber in windows:

@@ -21,7 +21,7 @@ from wavescat.coherence import SmoothingSpec, coherence
 from wavescat.cwt import Scalogram, cwt
 from wavescat.morse import MorseParams, build_filterbank, morse_hat, \
     peak_frequency
-from wavescat.scattering import ScatteringParams, scatter
+from wavescat.scattering import ScatteringParams, feature_matrix
 
 from figdata import CLASS_NAMES, COUNTS, PRINTED_MACRO, PRINTED_TPR
 from oracles import direct_cwt, layer_energies, numeric_peak
@@ -175,10 +175,10 @@ def test_criterion_4_scattering_properties():
     params = ScatteringParams(fs=FS)
     checks = {}
 
-    feats = scatter(2.25 * np.ones(1000), params)
-    checks["constant_s0"] = abs(feats.values[0] - 2.25) < 1e-9
+    values = feature_matrix([2.25 * np.ones(1000)], params)[0][0]
+    checks["constant_s0"] = abs(values[0] - 2.25) < 1e-9
     checks["constant_higher_orders"] = bool(
-        np.all(feats.values[1:] < 1e-6 * 2.25 + 1e-9))
+        np.all(values[1:] < 1e-6 * 2.25 + 1e-9))
 
     monotone = True
     for seed in range(100):
@@ -194,20 +194,20 @@ def test_criterion_4_scattering_properties():
         freqs = r.uniform(5.0, 50.0, 8)
         x = sum(np.cos(2 * np.pi * f * t + r.uniform(0, 2 * np.pi))
                 for f in freqs)
-        base = scatter(x, params).values
+        base = feature_matrix([x], params)[0][0]
         for tau in (20, int(params.t * FS / 8)):
-            moved = scatter(np.roll(x, tau), params).values
+            moved = feature_matrix([np.roll(x, tau)], params)[0][0]
             rel = np.linalg.norm(moved - base) / np.linalg.norm(base)
             stable &= rel < 0.1
     checks["shift_stability"] = stable
 
     am = np.cos(2 * np.pi * 32.0 * t) * (1 + 0.5 * np.cos(2 * np.pi * 4.0 * t))
-    feats = scatter(am, params)
-    first = [(i, p[0]) for i, p in enumerate(feats.paths) if len(p) == 1]
-    carrier = max(first, key=lambda ip: feats.values[ip[0]])[1]
-    seconds = [(i, p) for i, p in enumerate(feats.paths)
+    matrix, paths, _ = feature_matrix([am], params)
+    first = [(i, p[0]) for i, p in enumerate(paths) if len(p) == 1]
+    carrier = max(first, key=lambda ip: matrix[0, ip[0]])[1]
+    seconds = [(i, p) for i, p in enumerate(paths)
                if len(p) == 2 and p[0] == carrier]
-    best = max(seconds, key=lambda ip: feats.values[ip[0]])[1][1]
+    best = max(seconds, key=lambda ip: matrix[0, ip[0]])[1][1]
     grid = sorted({p[1] for _, p in seconds})
     checks["am_ridge_at_modulation"] = best == min(
         grid, key=lambda f: abs(f - 4.0))

@@ -18,7 +18,7 @@ from wavescat.model import (Chamber, Channel, Group, Phase, save_session,
                             segment_by_chamber)
 from wavescat.pipeline import (BankConfig, chamber_dataset, cwt_table,
                                load_sessions, wcoh_table)
-from wavescat.scattering import ScatteringParams, scatter
+from wavescat.scattering import ScatteringParams, feature_matrix
 from wavescat.synth import SynthSpec
 
 from conftest import make_session
@@ -132,7 +132,7 @@ def test_features_scatter_matches_library_bitwise(tmp_path,
     for line, label in zip(lines[2:], labels):
         got = np.array([float(v) for v in line.split(",")[:-4]])
         window = samples[label.channel][label.start:label.start + 1000]
-        assert np.array_equal(got, scatter(window, params).values)
+        assert np.array_equal(got, feature_matrix([window], params)[0][0])
 
 
 def test_features_cwt_and_wcoh_match_per_window_oracle(tmp_path):
@@ -802,6 +802,27 @@ def test_malformed_sizes_flag_gives_the_caster_message(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "argument --hidden: not comma-separated integers: 'x'" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, conf", [
+    ([" 8,4\n"], ""),        # a flag holding a space and a newline
+    ([], "hidden= 08 , 4\n"),
+], ids=["flag", "config-file"])
+def test_hidden_sizes_are_recorded_in_one_form(tmp_path, small_cohort,
+                                                flag, conf):
+    config = tmp_path / "run.conf"
+    config.write_text(conf)
+    out = tmp_path / "out"
+    argv = ["chambers", "--data", str(small_cohort), "--out", str(out),
+            "--seed", "3", "--k", "3", "--model", "mlp", "--epochs", "5",
+            "--source", "hip", "--group", "food", "--hop", "1.0",
+            "--phase", "both", "--config", str(config)]
+    assert main(argv + (["--hidden", *flag] if flag else [])) == 0
+    for path in sorted(out.iterdir()):
+        lines = path.read_text().splitlines()
+        config_lines = [line for line in lines if line.startswith("#")]
+        assert config_lines == [lines[0]], path.name
+        assert " hidden=8,4 " in lines[0], path.name
 
 
 @pytest.mark.parametrize("rate", [b"nan", b"inf"])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from wavescat.coherence import (SmoothingSpec, coherence,
-                                cross_spectrum, overlay_to_csv, phase_overlay)
+from wavescat.coherence import (SmoothingSpec, coherence, overlay_to_csv,
+                                phase_overlay)
 from wavescat.cwt import Scalogram, cwt
 from wavescat.errors import DataError
 from wavescat.morse import MorseParams, build_filterbank
@@ -39,30 +39,19 @@ def test_smoothing_widths_must_be_non_negative():
     assert tw.tolist() == [1, 1] and sw == 1
 
 
-def test_self_cross_spectrum_real_nonnegative():
-    cx, _ = random_pair(0)
-    s = cross_spectrum(cx, cx, SmoothingSpec(c_t=0.5, c_s=0.75))
-    assert np.abs(s.imag).max() < 1e-12
-    assert s.real.min() > -1e-12
-
-
-def test_identity_smoothing_is_elementwise_product():
-    cx, cy = random_pair(1)
-    s = cross_spectrum(cx, cy, SmoothingSpec(c_t=0.0, c_s=0.0))
-    a, b = cx.coefficients, cy.coefficients
-    expected = (a.real * b.real + a.imag * b.imag
-                + 1j * (a.real * b.imag - a.imag * b.real))
-    assert np.array_equal(s, expected)
-    assert np.allclose(s, np.conj(a) * b, rtol=0, atol=1e-12)
-
-
-def test_cross_spectrum_matches_brute_force():
+def test_coherence_matches_brute_force():
     cx, cy = random_pair(2, shape=(9, 40))
     spec = SmoothingSpec(c_t=0.5, c_s=0.75)   # widths 5..20 and 3
-    s = cross_spectrum(cx, cy, spec)
-    raw = np.conj(cx.coefficients) * cy.coefficients
-    expected = brute_force_smooth(raw, *spec.widths(cx.scale_axis, FS, 4))
-    assert np.abs(s - expected).max() < 1e-12
+    cmap = coherence(cx, cy, spec)
+    widths = spec.widths(cx.scale_axis, FS, 4)
+    a, b = cx.coefficients, cy.coefficients
+    sxy = brute_force_smooth(np.conj(a) * b, *widths)
+    sxx = brute_force_smooth(np.abs(a) ** 2, *widths)
+    syy = brute_force_smooth(np.abs(b) ** 2, *widths)
+    expected = np.minimum(np.abs(sxy) ** 2 / (sxx * syy), 1.0)
+    assert np.abs(cmap.coherence - expected).max() < 1e-12
+    lag = np.angle(np.exp(1j * (cmap.phase + np.angle(sxy))))
+    assert np.abs(lag).max() < 1e-9
 
 
 def test_per_scale_widths_follow_center_frequency():
@@ -195,5 +184,5 @@ def test_overlay_csv(tmp_path):
 def test_axis_mismatch_rejected():
     cx, _ = random_pair(30, shape=(8, 64))
     cy, _ = random_pair(31, shape=(8, 32))
-    with pytest.raises(DataError):
-        cross_spectrum(cx, cy, SmoothingSpec(c_t=0.3, c_s=0.25))
+    with pytest.raises(DataError, match="scalogram shapes differ"):
+        coherence(cx, cy, SmoothingSpec(c_t=0.3, c_s=0.25))

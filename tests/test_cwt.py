@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavescat.cwt import cwt, next_pow2, scalogram_magnitude, scalogram_to_csv
+from wavescat.cwt import cwt, next_pow2, scalogram_to_csv
 from wavescat.errors import DataError
 from wavescat.morse import MorseParams, build_filterbank
 
@@ -53,7 +53,7 @@ def test_sinusoid_ridge_location_and_height():
     bank = build_filterbank(n, FS, MorseParams(), 20, 1.0, 100.0)
     t = np.arange(n) / FS
     s = cwt(np.cos(2 * np.pi * 8.0 * t), bank)
-    mag = scalogram_magnitude(s)
+    mag = np.abs(s.coefficients)
     interior = np.nonzero(s.coi <= 4.0)[0]   # everything >= 4 Hz reliable
     assert interior.size > 1000
     ridge = mag[:, interior].argmax(axis=0)
@@ -88,9 +88,9 @@ def test_shift_covariance():
 def test_magnitude_views():
     bank = small_bank()
     s = cwt(np.zeros(256), bank)
-    assert np.all(scalogram_magnitude(s) == 0)
+    assert np.all(np.abs(s.coefficients) == 0)
     s.coefficients[0, 0] = 3.0 + 4.0j
-    assert scalogram_magnitude(s)[0, 0] == pytest.approx(5.0)
+    assert np.abs(s.coefficients)[0, 0] == pytest.approx(5.0)
 
 
 def test_impulse_row_l1_norm_matches_quadrature():
@@ -98,7 +98,7 @@ def test_impulse_row_l1_norm_matches_quadrature():
     bank = build_filterbank(n, FS, MorseParams(), 4, 8.0, 100.0)
     x = np.zeros(n)
     x[n // 2] = 1.0
-    mag = scalogram_magnitude(cwt(x, bank))
+    mag = np.abs(cwt(x, bank).coefficients)
     psi = direct_dft_wavelets(bank.filters)
     for j in range(bank.n_scales):
         got = mag[j].sum() / FS
@@ -161,7 +161,7 @@ def test_scalogram_csv(tmp_path):
     bank = small_bank(n=64, voices=1, fmin=50.0, fmax=100.0)
     s = cwt(np.ones(64), bank)
     out = tmp_path / "scal.csv"
-    scalogram_to_csv(scalogram_magnitude(s), s.scale_axis, s.time_axis, out,
+    scalogram_to_csv(np.abs(s.coefficients), s.scale_axis, s.time_axis, out,
                      "cmd=test")
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# wavescat-config:")

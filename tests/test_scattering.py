@@ -8,8 +8,7 @@ from wavescat.errors import DataError
 from wavescat.model import (CHANNELS, JOINT_GROUPS, JOINT_PHASES, Chamber,
                             Group, Phase, label_dtype)
 from wavescat.pipeline import FeatureTable, table_to_csv
-from wavescat.scattering import (ScatteringParams, feature_matrix,
-                                 path_names, scatter)
+from wavescat.scattering import ScatteringParams, feature_matrix, path_names
 
 from conftest import assert_no_child_left
 from oracles import full_grid_scatter, layer_energies
@@ -37,46 +36,51 @@ def order_of(path):
     return len(path)
 
 
+def scatter_one(x, params=PARAMS):
+    """The scattering row and paths of one window."""
+    matrix, paths, _ = feature_matrix([x], params)
+    return matrix[0], paths
+
+
 def test_constant_input():
-    feats = scatter(3.7 * np.ones(1000), PARAMS)
-    assert feats.values[0] == pytest.approx(3.7, abs=1e-9)
-    higher = feats.values[1:]
+    values, _ = scatter_one(3.7 * np.ones(1000))
+    assert values[0] == pytest.approx(3.7, abs=1e-9)
+    higher = values[1:]
     assert np.all(higher < 1e-6 * 3.7 + 1e-9)
 
 
 def test_path_ordering_contract():
-    feats = scatter(np.zeros(1000), PARAMS)
-    orders = [order_of(p) for p in feats.paths]
+    _, paths = scatter_one(np.zeros(1000))
+    orders = [order_of(p) for p in paths]
     assert orders == sorted(orders)
-    assert feats.paths[0] == ()
-    first = [p[0] for p in feats.paths if order_of(p) == 1]
+    assert paths[0] == ()
+    first = [p[0] for p in paths if order_of(p) == 1]
     assert first == sorted(first, reverse=True)
-    seconds = [p for p in feats.paths if order_of(p) == 2]
+    seconds = [p for p in paths if order_of(p) == 2]
     assert all(p[1] < p[0] for p in seconds)
     for f1 in sorted({p[0] for p in seconds}, reverse=True):
         f2s = [p[1] for p in seconds if p[0] == f1]
         assert f2s == sorted(f2s, reverse=True)
     # stable across calls
-    again = scatter(np.ones(1000), PARAMS)
-    assert feats.paths == again.paths
+    assert paths == scatter_one(np.ones(1000))[1]
 
 
 def test_tone_first_order_ridge():
-    feats = scatter(tone(32.0), PARAMS)
-    first = [(i, p[0]) for i, p in enumerate(feats.paths) if order_of(p) == 1]
-    best_i, best_f = max(first, key=lambda ip: feats.values[ip[0]])
+    values, paths = scatter_one(tone(32.0))
+    first = [(i, p[0]) for i, p in enumerate(paths) if order_of(p) == 1]
+    best_i, best_f = max(first, key=lambda ip: values[ip[0]])
     nearest = min(first, key=lambda ip: abs(ip[1] - 32.0))[1]
     assert best_f == nearest
 
 
 def test_am_tone_second_order_ridge():
     x = tone(32.0) * (1.0 + 0.5 * tone(4.0))
-    feats = scatter(x, PARAMS)
-    first = [(i, p[0]) for i, p in enumerate(feats.paths) if order_of(p) == 1]
-    carrier = max(first, key=lambda ip: feats.values[ip[0]])[1]
-    seconds = [(i, p) for i, p in enumerate(feats.paths)
+    values, paths = scatter_one(x)
+    first = [(i, p[0]) for i, p in enumerate(paths) if order_of(p) == 1]
+    carrier = max(first, key=lambda ip: values[ip[0]])[1]
+    seconds = [(i, p) for i, p in enumerate(paths)
                if order_of(p) == 2 and p[0] == carrier]
-    best = max(seconds, key=lambda ip: feats.values[ip[0]])[1]
+    best = max(seconds, key=lambda ip: values[ip[0]])[1]
     f2_grid = sorted({p[1] for _, p in seconds})
     nearest = min(f2_grid, key=lambda f: abs(f - 4.0))
     assert best[1] == nearest
@@ -107,11 +111,11 @@ def oracle_inputs(n, fs):
 ])
 def test_decimated_layers_match_full_grid_oracle(params, n):
     for x in oracle_inputs(n, params.fs):
-        feats = scatter(x, params)
+        values, paths = scatter_one(x, params)
         expected, expected_energies = full_grid_scatter(x, params, True)
-        orders = np.array([len(p) for p in feats.paths])
+        orders = np.array([len(p) for p in paths])
         for order in range(3):
-            got, want = feats.values[orders == order], expected[orders == order]
+            got, want = values[orders == order], expected[orders == order]
             if want.size:
                 assert np.abs(got - want).max() <= 1e-4 * want.max()
         np.testing.assert_allclose(layer_energies(x, params),
@@ -130,8 +134,8 @@ def test_non_expansiveness():
     for _ in range(10):
         x = rng.standard_normal(1000)
         y = rng.standard_normal(1000)
-        fx = scatter(x, PARAMS).values
-        fy = scatter(y, PARAMS).values
+        fx = scatter_one(x)[0]
+        fy = scatter_one(y)[0]
         assert (np.linalg.norm(fx - fy)
                 <= 1.05 * np.linalg.norm(x - y))
 
@@ -140,16 +144,16 @@ def test_shift_stability():
     tau = int(PARAMS.t * FS / 8)
     for seed in range(5):
         x = bandlimited_noise(seed)
-        fx = scatter(x, PARAMS).values
-        fs_ = scatter(np.roll(x, tau), PARAMS).values
+        fx = scatter_one(x)[0]
+        fs_ = scatter_one(np.roll(x, tau))[0]
         rel = np.linalg.norm(fs_ - fx) / np.linalg.norm(fx)
         assert rel < 0.1
 
 
 def test_determinism_bitwise():
     x = bandlimited_noise(3)
-    a = scatter(x, PARAMS).values
-    b = scatter(x.copy(), PARAMS).values
+    a = scatter_one(x)[0]
+    b = scatter_one(x.copy())[0]
     assert np.array_equal(a, b)
 
 
@@ -157,8 +161,9 @@ def test_feature_matrix_matches_scatter_bitwise():
     xs = [bandlimited_noise(s) for s in range(4)]
     matrix, paths, _ = feature_matrix(xs, PARAMS)
     for row, x in zip(matrix, xs):
-        assert np.array_equal(row, scatter(x, PARAMS).values)
-    assert paths == scatter(xs[0], PARAMS).paths
+        alone, alone_paths = scatter_one(x)
+        assert np.array_equal(row, alone)
+        assert paths == alone_paths
 
 
 def test_feature_matrix_row_independence_under_permutation():
@@ -231,9 +236,19 @@ def test_feature_matrix_validation():
         feature_matrix([np.zeros(1000), np.zeros(900)], PARAMS)
 
 
+def test_each_window_must_be_1d_and_may_be_a_list():
+    # a 2-D window's len() is its row count, not its length
+    with pytest.raises(DataError, match="segment must be 1-D"):
+        feature_matrix([np.zeros((2, 1000))], PARAMS)
+    x = bandlimited_noise(2)
+    matrix, _, windows = feature_matrix([x.tolist()], PARAMS)
+    assert np.array_equal(matrix[0], scatter_one(x)[0])
+    assert windows[0].dtype == np.float64
+
+
 def test_segment_shorter_than_t_rejected():
     with pytest.raises(DataError, match="invariance scale"):
-        scatter(np.zeros(400), PARAMS)
+        scatter_one(np.zeros(400))
 
 
 def test_a_filter_zero_on_every_bin_is_a_data_error():
@@ -241,7 +256,7 @@ def test_a_filter_zero_on_every_bin_is_a_data_error():
     # narrow to reach any bin of a 1 s, 1 kHz segment's 1 Hz grid
     with pytest.raises(DataError, match=r"layer-1 filter at 2\.544 Hz is "
                        r"zero on every bin of the 1000-point grid"):
-        scatter(np.zeros(1000), ScatteringParams(q1=64, fs=FS))
+        scatter_one(np.zeros(1000), ScatteringParams(q1=64, fs=FS))
 
 
 def test_params_validation():
