@@ -59,15 +59,18 @@ def boxcar_scale(mat, width):
 SPLIT_SCAN_BYTES = 8 << 20
 
 
-def best_split_column(x, y, n_classes, min_leaf=1):
+def best_split_column(x, y, n_classes, min_leaf, order):
     """Best Gini split over every column of a node's feature matrix.
 
-    Each column is sorted once (stably) and every midpoint between
-    consecutive distinct sorted values that leaves at least ``min_leaf``
-    rows on each side is scored. Ties resolve to the lowest feature,
-    then the lowest threshold. Returns (gain, threshold, feature), with
-    (-1.0, 0.0, -1) when no column has a candidate. Columns are scored
-    in blocks that keep the temporaries within ``SPLIT_SCAN_BYTES``.
+    Column j of ``order`` lists ``x``'s rows by ascending value of
+    column j, ties by row, as ``np.argsort(x, axis=0, kind="stable")``
+    does; ``train_tree`` sorts once per tree and carries the order down.
+    Every midpoint between consecutive distinct sorted values that
+    leaves at least ``min_leaf`` rows on each side is scored. Ties
+    resolve to the lowest feature, then the lowest threshold. Returns
+    (gain, threshold, feature), with (-1.0, 0.0, -1) when no column has
+    a candidate. Columns are scored in blocks that keep the temporaries
+    within ``SPLIT_SCAN_BYTES``.
     """
     min_leaf = int(min_leaf)
     n, n_features = x.shape
@@ -77,9 +80,9 @@ def best_split_column(x, y, n_classes, min_leaf=1):
     width = max(1, SPLIT_SCAN_BYTES // (16 * n * n_classes))
     for lo in range(0, n_features, width):
         block = x[:, lo:lo + width]
-        order = np.argsort(block, axis=0, kind="stable")
-        values = np.take_along_axis(block, order, axis=0)
-        cum = np.cumsum(y[order][:, :, None] == np.arange(n_classes),
+        by_value = order[:, lo:lo + width]
+        values = np.take_along_axis(block, by_value, axis=0)
+        cum = np.cumsum(y[by_value][:, :, None] == np.arange(n_classes),
                         axis=0, dtype=np.float64)  # (n, columns, classes)
         total = cum[-1, 0]
         left = cum[:-1]                            # rows 0..i go left

@@ -2,7 +2,9 @@
 
 Each node is split by one call of ``_kernels.best_split_column``, which
 scans every midpoint of every feature of the node at once; ties resolve
-to the lowest feature, then the lowest threshold.
+to the lowest feature, then the lowest threshold. Each column is sorted
+once per tree, at the root; every child takes its rows' sorted order
+from its parent's (CART, Breiman et al. 1984).
 """
 
 from __future__ import annotations
@@ -53,21 +55,37 @@ def train_tree(data: Dataset, max_depth: int = 12,
     n_classes = data.n_classes
     nodes = []              # [feature, threshold, left, right, class, depth]
 
-    def grow(x, y, depth):
+    def grow(x, y, order, depth):
         at = len(nodes)
         node = [-1, 0.0, at, at,
                 int(np.argmax(np.bincount(y, minlength=n_classes))), depth]
         nodes.append(node)
         if depth < max_depth and y.size >= 2 * min_leaf and np.any(y != y[0]):
-            _, thr, f = _kernels.best_split_column(x, y, n_classes, min_leaf)
+            _, thr, f = _kernels.best_split_column(x, y, n_classes, min_leaf,
+                                                   order.T)
             if f >= 0:
                 mask = x[:, f] < thr
-                node[:4] = (f, thr, grow(x[mask], y[mask], depth + 1),
-                            grow(x[~mask], y[~mask], depth + 1))
+                node[:4] = (f, thr,
+                            grow(x[mask], y[mask], sorted_rows(order, mask),
+                                 depth + 1),
+                            grow(x[~mask], y[~mask], sorted_rows(order, ~mask),
+                                 depth + 1))
         return at
 
-    grow(data.features, data.labels, 0)
+    # one stable sort per column, as (features, rows), for the whole tree
+    grow(data.features, data.labels,
+         np.argsort(data.features.T, axis=1, kind="stable"), 0)
     return DecisionTreeModel(*map(np.array, zip(*nodes)), data.n_features)
+
+
+def sorted_rows(order: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """A child's sort from its parent's: each row of ``order`` (one
+    column's rows, by value) keeps the rows where ``keep`` holds, in the
+    same order, renumbered as indices into those rows. A stable sort
+    breaks ties by row, and so does this, because renumbering keeps the
+    rows' order: it equals a fresh stable sort of the kept rows."""
+    kept = order[keep[order]].reshape(order.shape[0], -1)
+    return (np.cumsum(keep) - 1)[kept]
 
 
 def predict_tree(model: DecisionTreeModel, features: np.ndarray) -> np.ndarray:

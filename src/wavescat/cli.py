@@ -21,11 +21,13 @@ import contextlib
 import glob
 import math
 import os
+import pickle
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import forked
 from .classify import (Dataset, confusion_from_counts_csv, confusion_stats,
                        confusion_to_csv, run_kfold, train_mlp, train_svm_ova,
                        train_tree, tree_complexity)
@@ -342,7 +344,9 @@ def cmd_features(cfg: Config):
 def _chambers_fit(cfg: Config):
     """``fit(data, seed)`` for the ``--model`` classifier. Like joint's,
     it looks ``train_*`` up when called, so a wrapper later bound over
-    the name (``perfbench/traced.py``) still sees every fit."""
+    the name (``perfbench/traced.py``) sees every fit made in this
+    process: with ``--model dt`` that is only the first block of cells,
+    because forked children fit the others."""
     if cfg.get("model") == "dt":
         max_depth, min_leaf = cfg.get("max_depth"), cfg.get("min_leaf")
         return lambda data, seed: train_tree(data, max_depth, min_leaf)
@@ -374,22 +378,41 @@ def cmd_chambers(cfg: Config):
         raise DataError(f"no segments for group {groups[0].value}")
 
     os.makedirs(out_dir, exist_ok=True)
-    matrices, complexity = {}, {}
-    for source in sources:
-        if source == "wcoh":
-            table = wcoh_table(sessions, window, hop, bank_cfg, smoothing)
-        else:
-            table = cwt_table(sessions, Channel(source), window, hop,
-                              bank_cfg)
-        for group in groups:
+    tables = {source: (wcoh_table(sessions, window, hop, bank_cfg, smoothing)
+                       if source == "wcoh"
+                       else cwt_table(sessions, Channel(source), window, hop,
+                                      bank_cfg))
+              for source in sources}
+    cells = [(source, group) for source in sources for group in groups]
+    results = [None] * len(cells)
+
+    def fit_cells(start: int, stop: int) -> None:
+        for i in range(start, stop):
+            source, group = cells[i]
+            table = tables[source]
             data = chamber_dataset(table, group, phases)
             rats = (table.segments["rat"][group_rows(table, group, phases)]
                     if per_rat else None)
             matrix = run_kfold(data, k, fit, seed, groups=rats)
-            matrices[(source, group.value)] = matrix, confusion_stats(matrix)
-            if is_tree:
-                complexity[(source, group.value)] = tree_complexity(
-                    fit(data, seed))
+            results[i] = (matrix, tree_complexity(fit(data, seed))
+                          if is_tree else None)
+
+    def child(part, start: int, stop: int) -> None:
+        fit_cells(start, stop)
+        pickle.dump(results[start:stop], part)
+
+    def gather(part, start: int, stop: int) -> None:
+        results[start:stop] = pickle.load(part)
+
+    # the MLP's BLAS threads would contend with a forked child's
+    forked.run_blocks(len(cells), fit_cells, child, gather,
+                      lambda start, stop: f"chambers cells {start}-{stop - 1}",
+                      fork=is_tree)
+    matrices = {(source, group.value): (matrix, confusion_stats(matrix))
+                for (source, group), (matrix, _) in zip(cells, results)}
+    complexity = {(source, group.value): tree
+                  for (source, group), (_, tree) in zip(cells, results)
+                  if tree is not None}
 
     line = cfg.line()
     for (source, group), (matrix, stats) in matrices.items():

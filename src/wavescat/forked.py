@@ -1,13 +1,26 @@
 """Contiguous row blocks run on every CPU, in forked children.
 
-``run_blocks`` is the one fork loop of the package: ``write_csv``
-formats a large table's rows with it, and ``feature_matrix`` scatters
-its segments with it.
+``run_blocks`` is the one fork loop of the package. Four stages run
+through it, and none runs inside another's child, so at most one block
+per CPU runs at a time:
+
+- ``write_csv`` formats a large table's rows;
+- ``feature_matrix`` scatters its segments;
+- ``pipeline``'s CWT and coherence tables transform their sessions;
+- ``chambers`` fits its (source, group) cells, with ``--model dt``.
 """
 
 import contextlib
 import os
 import tempfile
+
+from .errors import DataError, NumericalError
+
+# a child's failure of one of these (or of a subclass) is raised in the
+# parent as this class with the same message, so a command exits with
+# the same code and error line on any number of CPUs
+PASSED_ON = {cls.__name__: cls
+             for cls in (DataError, NumericalError, MemoryError)}
 
 
 def cpus() -> int:
@@ -29,8 +42,10 @@ def run_blocks(n: int, parent, child, gather, name, fork: bool = True,
     back here, in block order, from the start of its file. With
     ``fork`` false, or one CPU, ``parent`` runs every row.
 
-    A child that fails raises ``ChildProcessError`` naming
-    ``name(start, stop)`` and the child's error, and ``gather`` is not
+    A child that fails with a ``PASSED_ON`` error raises it here, as
+    that class with the child's message; any other failure raises
+    ``ChildProcessError`` naming ``name(start, stop)`` and the child's
+    error. The earliest failed block is raised, and ``gather`` is not
     called. Every child has exited when this returns or raises, even
     when ``parent`` raises.
     """
@@ -56,13 +71,30 @@ def run_blocks(n: int, parent, child, gather, name, fork: bool = True,
         children = list(zip(parts, bounds[1:], bounds[2:]))
         for (part, start, stop), code in zip(children, codes):
             if code:
-                part.seek(0)
-                why = (part.read().decode(errors="replace") if code > 0
-                       else f"killed by signal {-code}")
-                raise ChildProcessError(f"{name(start, stop)} failed: {why}")
+                _raise_failure(part, code, name(start, stop))
         for part, start, stop in children:
             part.seek(0)
             gather(part, start, stop)
+
+
+def _raise_failure(part, code: int, what: str) -> None:
+    """Raise the failure a child left in ``part``, or its signal."""
+    if code < 0:
+        raise ChildProcessError(f"{what} failed: killed by signal {-code}")
+    part.seek(0)
+    kind, _, why = part.read().decode(errors="replace").partition("\n")
+    if kind in PASSED_ON:
+        raise PASSED_ON[kind](why)
+    raise ChildProcessError(f"{what} failed: {why}")
+
+
+def _reason(exc: BaseException) -> str:
+    """A failure as the parent reads it: the ``PASSED_ON`` class it is
+    raised as (or nothing), a newline, then its message."""
+    for kind, cls in PASSED_ON.items():
+        if isinstance(exc, cls):
+            return f"{kind}\n{exc}"
+    return f"\n{type(exc).__name__}: {exc}"
 
 
 def _child(child, part, start: int, stop: int) -> None:
@@ -77,7 +109,6 @@ def _child(child, part, start: int, stop: int) -> None:
     except BaseException as exc:
         with contextlib.suppress(BaseException):
             os.ftruncate(part.fileno(), 0)
-            os.pwrite(part.fileno(),
-                      f"{type(exc).__name__}: {exc}".encode(), 0)
+            os.pwrite(part.fileno(), _reason(exc).encode(), 0)
     finally:
         os._exit(code)

@@ -31,6 +31,7 @@ from functools import partial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import forked
 from .coherence import SmoothingSpec, coherence
 from .csvfile import LazyRows, write_csv
 from .cwt import cwt, next_pow2
@@ -143,26 +144,42 @@ def _window_table(sessions, window_len, hop, bank_cfg, session_rows, names,
     """A row per kept window of every session; ``session_rows(session,
     bank, grid)`` returns one session's (features x windows) block. The
     kept windows are counted first, so each block is copied once into
-    its rows of one preallocated matrix. Every row is labelled with the
-    ``CHANNELS`` entry ``channel``."""
+    its rows of one preallocated matrix. The sessions are split into one
+    contiguous block per CPU: this process transforms the first block
+    and forked children the others, with banks built (and their e-fold
+    times taken) here, so the rows do not depend on the CPU count. Every
+    row is labelled with the ``CHANNELS`` entry ``channel``."""
     grids = [chamber_windows(session, window_len, hop)
              for session in sessions]
-    n_rows = sum(starts.size for _, _, starts, _ in grids)
-    if not n_rows:
+    bounds = np.cumsum([0] + [starts.size for _, _, starts, _ in grids])
+    if not bounds[-1]:
         raise DataError("no chamber-constant windows found")
+    banks = [bank_cfg.bank(session.hip.samples.size, session.fs)
+             for session in sessions]
+    for bank in banks:
+        bank.efold_times()            # cached on the bank, before any fork
     # every bank of one config has the same center frequencies
-    freqs = bank_cfg.bank(sessions[0].hip.samples.size,
-                          sessions[0].fs).center_frequencies
-    columns = [f"{name}[{f:.4g}]" for name in names for f in freqs]
-    matrix = np.empty((n_rows, len(columns)))
-    labels = []
-    row = 0
-    for session, (win, step, starts, codes) in zip(sessions, grids):
-        bank = bank_cfg.bank(session.hip.samples.size, session.fs)
-        rows = slice(row, row + starts.size)
-        matrix[rows] = session_rows(session, bank, (win, step, starts)).T
-        labels.append(window_labels(session, starts, codes, (channel,)))
-        row = rows.stop
+    columns = [f"{name}[{f:.4g}]" for name in names
+               for f in banks[0].center_frequencies]
+    matrix = np.empty((bounds[-1], len(columns)))
+
+    def fill(start: int, stop: int) -> None:
+        for i in range(start, stop):
+            win, step, starts, _ = grids[i]
+            matrix[bounds[i]:bounds[i + 1]] = session_rows(
+                sessions[i], banks[i], (win, step, starts)).T
+
+    def child(part, start: int, stop: int) -> None:
+        fill(start, stop)
+        part.write(matrix[bounds[start]:bounds[stop]].tobytes())
+
+    def gather(part, start: int, stop: int) -> None:
+        part.readinto(matrix[bounds[start]:bounds[stop]])
+
+    forked.run_blocks(len(sessions), fill, child, gather,
+                      lambda start, stop: f"table sessions {start}-{stop - 1}")
+    labels = [window_labels(session, starts, codes, (channel,))
+              for session, (_, _, starts, codes) in zip(sessions, grids)]
     return FeatureTable(matrix, columns, np.concatenate(labels))
 
 

@@ -175,11 +175,12 @@ def _split_sorted_column(values_sorted, classes_sorted, n_classes, min_leaf):
     return float(gains[best]), float(thr), True
 
 
-def split_scan_by_column(x, y, n_classes, min_leaf=1):
+def split_scan_by_column(x, y, n_classes, min_leaf=1, order=None):
     """The CART split scan one column at a time: sort a column, score
     its midpoints, keep a strictly better gain. Same contract as
     ``_kernels.best_split_column``: (gain, threshold, feature), with
-    (-1.0, 0.0, -1) when no column has a candidate."""
+    (-1.0, 0.0, -1) when no column has a candidate. It sorts every
+    column itself, so a carried ``order`` is ignored."""
     best = (-1.0, 0.0, -1)
     for f in range(x.shape[1]):
         order = np.argsort(x[:, f], kind="stable")

@@ -21,7 +21,7 @@ from wavescat.pipeline import (BankConfig, chamber_dataset, cwt_table,
 from wavescat.scattering import ScatteringParams, feature_matrix
 from wavescat.synth import SynthSpec
 
-from conftest import make_session
+from conftest import assert_no_child_left, make_session
 from figdata import CLASS_NAMES, COUNTS, PRINTED_MACRO
 from oracles import cwt_rows_by_window, wcoh_rows_by_window
 
@@ -1019,6 +1019,8 @@ def every_session_tables(every_session_cohort):
 def test_chambers_transforms_only_the_selected_sessions(
         tmp_path, every_session_cohort, every_session_tables, monkeypatch,
         phase, group):
+    # cwt calls are recorded in this process, so none may run in a child
+    monkeypatch.setattr(forked, "cpus", lambda: 1)
     transforms = []
     original_cwt = pipeline.cwt
     monkeypatch.setattr(pipeline, "cwt", lambda x, bank: (
@@ -1068,3 +1070,71 @@ def test_chambers_with_no_selected_session_exits_3(
                  str(tmp_path / "out"), "--seed", "1", *argv]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == [f"data error: no segments for group {group}"]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to compare against one")
+def test_chambers_bytes_do_not_depend_on_the_cpu_count(tmp_path,
+                                                       every_chamber_cohort):
+    """``chambers --model dt`` pinned to one CPU and run on every CPU,
+    whose tables and tree cells are split across CPUs, writes the same
+    bytes."""
+    for cpus in ("1", "0"):
+        run_on_cpus(cpus, ["chambers", "--data", str(every_chamber_cohort),
+                           "--seed", "1", "--model", "dt", "--source", "all",
+                           "--out", str(tmp_path / cpus)])
+    names = sorted(os.listdir(tmp_path / "1"))
+    assert names == sorted(os.listdir(tmp_path / "0"))
+    assert len(names) == 11            # 9 confusions, accuracy, complexity
+    assert tree_digest(tmp_path / "1") == tree_digest(tmp_path / "0")
+
+
+@pytest.fixture(scope="module")
+def two_food_rat_cohort(tmp_path_factory):
+    # every post session visits all three chambers; food alone has two
+    # rats and the most rows (57 at --hop 1.0, the others 27 or 28)
+    out = tmp_path_factory.mktemp("two_food_rats")
+    assert main(["synth", "--out", str(out), "--seed", "73",
+                 "--session-len", "30", "--fs", "250", "--rats-saline", "1",
+                 "--rats-morphine", "1", "--rats-food", "2"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("cohort, argv, exit_code", [
+    # food passes and the second cell fails: on 2 or 3 CPUs, in a child
+    ("small_cohort", ["--source", "hip"], 3),   # morphine lacks a chamber
+    ("two_food_rat_cohort", ["--source", "hip", "--hop", "1.0",
+                             "--k", "50"], 3),
+    ("two_food_rat_cohort", ["--source", "hip", "--hop", "1.0",
+                             "--per-rat", "--k", "2"], 3),
+    # every cell fails, the first in this process
+    ("small_cohort", ["--group", "food", "--source", "all", "--hop", "1.0",
+                      "--k", "100000"], 3),
+    ("small_cohort", ["--group", "food", "--source", "all", "--hop", "1.0",
+                      "--per-rat", "--k", "5"], 3),
+    ("small_cohort", ["--group", "food", "--source", "all", "--hop", "1.0",
+                      "--max-depth", "0"], 3),
+    ("small_cohort", ["--group", "food", "--source", "all", "--hop", "1.0",
+                      "--min-leaf", "0"], 3),
+    ("small_cohort", ["--group", "food", "--source", "hip", "--hop", "1.0",
+                      "--model", "mlp", "--epochs", "200",
+                      "--learning-rate", "1e12", "--phase", "both"], 4),
+])
+def test_chambers_failures_do_not_depend_on_the_cpu_count(
+        tmp_path, request, capsys, monkeypatch, cohort, argv, exit_code):
+    """A check that fires inside a fit, in this process or in a forked
+    child, ends the run with the same exit code and error line on 1, 2
+    or 3 CPUs, and writes nothing."""
+    data = request.getfixturevalue(cohort)
+    outcomes = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(forked, "cpus", lambda: cpus)
+        out = tmp_path / str(cpus)
+        code = main(["chambers", "--data", str(data), "--out", str(out),
+                     "--seed", "1", *argv])
+        outcomes.append((code, capsys.readouterr().err))
+        assert list(out.iterdir()) == []
+        assert_no_child_left()
+    assert outcomes[0][0] == exit_code
+    assert len(outcomes[0][1].splitlines()) == 1
+    assert outcomes[1:] == outcomes[:1] * 2

@@ -72,11 +72,12 @@ def test_scale_boxcar_equals_concatenating_kernel_bitwise():
 def test_split_respects_min_leaf():
     x = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
     classes = np.array([0, 0, 0, 1, 1, 1])
-    gain, thr, f = best_split_column(x, classes, 2, 1)
+    order = np.arange(6)[:, None]          # x is sorted already
+    gain, thr, f = best_split_column(x, classes, 2, 1, order)
     assert f == 0 and thr == pytest.approx(2.5)
-    gain, thr, f = best_split_column(x, classes, 2, 3)
+    gain, thr, f = best_split_column(x, classes, 2, 3, order)
     assert f == 0 and thr == pytest.approx(2.5)
-    assert best_split_column(x, classes, 2, 4) == (-1.0, 0.0, -1)
+    assert best_split_column(x, classes, 2, 4, order) == (-1.0, 0.0, -1)
 
 
 @st.composite
@@ -104,14 +105,16 @@ def split_nodes(draw):
 @settings(max_examples=300, deadline=None)
 def test_node_split_scan_equals_per_column_oracle(node):
     x, y, n_classes, min_leaf, block_width = node
-    got = best_split_column(x, y, n_classes, min_leaf)
+    order = np.argsort(x, axis=0, kind="stable")
+    got = best_split_column(x, y, n_classes, min_leaf, order)
     expected = split_scan_by_column(x, y, n_classes, min_leaf)
     assert got == expected
     assert type(got[2]) is int
     # a budget of block_width columns scans wider nodes in several blocks
     budget = 16 * x.shape[0] * n_classes * block_width
     with patch.object(_kernels, "SPLIT_SCAN_BYTES", budget):
-        assert best_split_column(x, y, n_classes, min_leaf) == expected
+        assert best_split_column(x, y, n_classes, min_leaf,
+                                 order) == expected
 
 
 def test_pg_solver_standalone_contract():

@@ -1,10 +1,11 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavescat import pipeline
+from wavescat import forked, pipeline
 from wavescat.coherence import SmoothingSpec
 from wavescat.model import (CHANNELS, JOINT_GROUPS, JOINT_PHASES, Chamber,
                             Channel, Group, Phase, chamber_windows,
@@ -13,7 +14,7 @@ from wavescat.pipeline import (BankConfig, cwt_table, scatter_table,
                                wcoh_table)
 from wavescat.scattering import ScatteringParams
 
-from conftest import make_session
+from conftest import assert_no_child_left, make_session
 from oracles import (chamber_windows_by_start, cwt_rows_by_window,
                      wcoh_rows_by_window)
 
@@ -211,3 +212,34 @@ def test_table_labels_hold_a_few_bytes_a_row():
     rows = table.matrix.shape[0]
     assert rows > 9000
     assert held - table.matrix.nbytes <= 32 * rows
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_window_tables_do_not_depend_on_the_cpu_count(monkeypatch, forks,
+                                                       n, cpus):
+    """Split over forked children by session, the CWT and coherence
+    tables keep every bit of a one-CPU run, also with fewer sessions
+    than CPUs."""
+    rng = np.random.default_rng(8)
+    sessions = [make_session(rng.standard_normal(1500 + 250 * i),
+                             rng.standard_normal(1500 + 250 * i), fs=250.0,
+                             track=[(0.0, i % 3), (3.1, (i + 1) % 3)],
+                             rat=f"rat{i}") for i in range(n)]
+
+    def tables():
+        return [cwt_table(sessions, Channel.HIP, 1.0, 0.5, BANK),
+                cwt_table(sessions, Channel.NAC, 1.0, 0.5, BANK),
+                wcoh_table(sessions, 1.0, 0.5, BANK, SmoothingSpec())]
+
+    monkeypatch.setattr(forked, "cpus", lambda: 1)
+    serial = tables()
+    assert forks == []
+    monkeypatch.setattr(forked, "cpus", lambda: cpus)
+    split = tables()
+    assert len(forks) == 3 * (min(cpus, n) - 1)
+    for got, expected in zip(split, serial, strict=True):
+        assert got.matrix.tobytes() == expected.matrix.tobytes()
+        assert got.segments.tobytes() == expected.segments.tobytes()
+        assert got.columns == expected.columns
+    assert_no_child_left()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavescat import forked, scattering
-from wavescat.errors import DataError
+from wavescat.errors import BundleFormatError, DataError, NumericalError
 from wavescat.model import (CHANNELS, JOINT_GROUPS, JOINT_PHASES, Chamber,
                             Group, Phase, label_dtype)
 from wavescat.pipeline import FeatureTable, table_to_csv
@@ -216,6 +216,32 @@ def test_a_failing_block_raises_once_every_child_has_exited(
     monkeypatch.setattr(forked, "cpus", lambda: 3)
     with pytest.raises(error, match=match):
         feature_matrix([bandlimited_noise(s) for s in range(7)], PARAMS)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("raised, error", [
+    (DataError, DataError), (BundleFormatError, DataError),
+    (NumericalError, NumericalError), (MemoryError, MemoryError),
+])
+def test_a_childs_data_numerical_or_memory_error_keeps_its_class(
+        monkeypatch, raised, error):
+    """Raised in a forked child, these reach the caller as their class
+    (a subclass as its base) with the child's message, as on one CPU."""
+    parent = os.getpid()
+    transform = scattering._Engine.transform
+
+    def failing(self, x):
+        if os.getpid() != parent:
+            raise raised("no transform here")
+        return transform(self, x)
+
+    monkeypatch.setattr(scattering._Engine, "transform", failing)
+    monkeypatch.setattr(scattering, "PARALLEL_SEGMENTS", 1)
+    monkeypatch.setattr(forked, "cpus", lambda: 3)
+    with pytest.raises(error) as caught:
+        feature_matrix([bandlimited_noise(s) for s in range(7)], PARAMS)
+    assert type(caught.value) is error
+    assert str(caught.value) == "no transform here"
     assert_no_child_left()
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from wavescat import _kernels
 from wavescat.classify import (Dataset, predict_tree, train_tree,
                                tree_complexity)
-from wavescat.classify.tree import DecisionTreeModel
+from wavescat.classify.tree import DecisionTreeModel, sorted_rows
 from wavescat.errors import DataError
 
 from oracles import predict_tree_by_row, split_scan_by_column
@@ -194,6 +194,25 @@ def test_tree_equals_tree_grown_with_per_column_scan(monkeypatch):
     assert nodes(got) == nodes(expected)
     assert len(nodes(got)) > 7
     assert np.array_equal(predict_tree(got, x), predict_tree_by_row(got, x))
+
+
+@given(st.integers(2, 40), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_a_carried_order_equals_a_fresh_stable_sort(n, seed):
+    """Two generations of partitions, each carried from its parent's
+    order, read as a stable sort of the kept rows: with ties, NaN,
+    signed zeros, a duplicated column and a constant column."""
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0, np.nan], (n, 4))
+    x = np.column_stack([x, x[:, 1], np.full(n, 3.0)])
+    order = np.argsort(x.T, axis=1, kind="stable")
+    for _ in range(2):
+        keep = rng.random(x.shape[0]) < 0.6
+        if not keep.any():
+            break
+        order, x = sorted_rows(order, keep), x[keep]
+        assert np.array_equal(order,
+                              np.argsort(x.T, axis=1, kind="stable"))
 
 
 def test_predict_width_mismatch():
