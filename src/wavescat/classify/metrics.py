@@ -55,10 +55,11 @@ def confusion_stats(m: ConfusionMatrix) -> dict:
     }
 
 
-def confusion_to_csv(m: ConfusionMatrix, path, config_line: str = "") -> None:
+def confusion_to_csv(m: ConfusionMatrix, stats: dict, path,
+                     config_line: str = "") -> None:
     """Counts with class-name header row/column, TPR/FNR columns and a
-    micro/macro footer row."""
-    stats = confusion_stats(m)
+    micro/macro footer row; ``stats`` is ``confusion_stats(m)``, which
+    the caller has computed once for the matrix."""
     rows = [[name] + counts + [tpr, fnr] for name, counts, tpr, fnr in zip(
         m.class_names, m.counts.tolist(), stats["tpr"].tolist(),
         stats["fnr"].tolist())]

@@ -21,8 +21,8 @@ import contextlib
 import glob
 import math
 import os
-import pickle
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,7 +131,7 @@ class Option:
 
 OPTIONS = {o.name: o for o in (
     Option("seed", _seed, None, "random seed", _ALL,
-           required=("synth", "chambers", "joint"), record="set"),
+           required=("synth", "chambers"), record="set"),
     Option("out", str, None, "output directory", _ALL,
            required=_ALL, record="never"),
     Option("data", str, None, "directory of .wscat bundles", _DATA,
@@ -375,7 +375,9 @@ def cmd_chambers(cfg: Config):
     sessions = [s for s in load_sessions(_bundle_paths(cfg.get("data")))
                 if s.phase in phases and s.group in groups]
     if not sessions:
-        raise DataError(f"no segments for group {groups[0].value}")
+        raise DataError(f"no {' or '.join(p.value for p in phases)} "
+                        f"sessions for the selected groups: "
+                        f"{', '.join(g.value for g in groups)}")
 
     os.makedirs(out_dir, exist_ok=True)
     tables = {source: (wcoh_table(sessions, window, hop, bank_cfg, smoothing)
@@ -384,30 +386,25 @@ def cmd_chambers(cfg: Config):
                                       bank_cfg))
               for source in sources}
     cells = [(source, group) for source in sources for group in groups]
-    results = [None] * len(cells)
 
-    def fit_cells(start: int, stop: int) -> None:
-        for i in range(start, stop):
-            source, group = cells[i]
+    def fit_cells(start: int, stop: int) -> list:
+        results = []
+        for source, group in cells[start:stop]:
             table = tables[source]
             data = chamber_dataset(table, group, phases)
             rats = (table.segments["rat"][group_rows(table, group, phases)]
                     if per_rat else None)
             matrix = run_kfold(data, k, fit, seed, groups=rats)
-            results[i] = (matrix, tree_complexity(fit(data, seed))
-                          if is_tree else None)
-
-    def child(part, start: int, stop: int) -> None:
-        fit_cells(start, stop)
-        pickle.dump(results[start:stop], part)
-
-    def gather(part, start: int, stop: int) -> None:
-        results[start:stop] = pickle.load(part)
+            results.append((matrix, tree_complexity(fit(data, seed))
+                            if is_tree else None))
+        return results
 
     # the MLP's BLAS threads would contend with a forked child's
-    forked.run_blocks(len(cells), fit_cells, child, gather,
-                      lambda start, stop: f"chambers cells {start}-{stop - 1}",
-                      fork=is_tree)
+    blocks = forked.run_blocks(
+        len(cells), fit_cells,
+        lambda start, stop: f"chambers cells {start}-{stop - 1}",
+        fork=is_tree)
+    results = [result for block in blocks for result in block]
     matrices = {(source, group.value): (matrix, confusion_stats(matrix))
                 for (source, group), (matrix, _) in zip(cells, results)}
     complexity = {(source, group.value): tree
@@ -417,7 +414,8 @@ def cmd_chambers(cfg: Config):
     line = cfg.line()
     for (source, group), (matrix, stats) in matrices.items():
         out = os.path.join(out_dir, f"confusion_{source}_{group}.csv")
-        _atomic(out, lambda p, m=matrix: confusion_to_csv(m, p, line))
+        _atomic(out, lambda p, m=matrix, s=stats:
+                confusion_to_csv(m, s, p, line))
         print(f"chambers {source}/{group}: "
               f"micro={stats['micro']:.2f}% macro={stats['macro']:.2f}%")
     rows = [[source] + [matrices[(source, g.value)][1]["micro"]
@@ -438,14 +436,18 @@ def cmd_chambers(cfg: Config):
 
 def cmd_joint(cfg: Config):
     out_dir, stats_from = cfg.get("out"), cfg.get("stats_from")
-    if not stats_from and cfg.get("data") is None:
-        raise UsageError("--data or --stats-from is required")
+    if not stats_from:
+        if cfg.get("data") is None:
+            raise UsageError("--data or --stats-from is required")
+        if cfg.get("seed") is None:     # --stats-from reads no seed
+            raise UsageError("--seed is required")
     os.makedirs(out_dir, exist_ok=True)
     if stats_from:
         matrix = confusion_from_counts_csv(stats_from)
         stats = confusion_stats(matrix)
         out = os.path.join(out_dir, "joint_stats.csv")
-        _atomic(out, lambda p: confusion_to_csv(matrix, p, cfg.line()))
+        _atomic(out, lambda p: confusion_to_csv(matrix, stats, p,
+                                                cfg.line()))
         print(f"macro_accuracy={stats['macro']!r} "
               f"micro_accuracy={stats['micro']!r}")
         return 0
@@ -476,7 +478,7 @@ def cmd_joint(cfg: Config):
               f"tol={tol:g} (largest gap {gaps.max():.3g})", file=sys.stderr)
     stats = confusion_stats(matrix)
     out = os.path.join(out_dir, "joint_confusion.csv")
-    _atomic(out, lambda p: confusion_to_csv(matrix, p, cfg.line()))
+    _atomic(out, lambda p: confusion_to_csv(matrix, stats, p, cfg.line()))
     print(f"joint 12-way: macro={stats['macro']:.4f}% "
           f"micro={stats['micro']:.4f}% ({data.n_samples} segments)")
     return 0
@@ -571,13 +573,22 @@ def build_parser():
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None,
+                  line=None) -> None:
+    """A warning as one ``warning:`` line on stderr, without the source
+    location and code line of Python's own format."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = Config(args, _load_config_file(args.config)
-                     if args.config else {})
-        cfg.get("seed")     # recorded whenever given, even if unused
-        return args.func(cfg)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            cfg = Config(args, _load_config_file(args.config)
+                         if args.config else {})
+            cfg.get("seed")     # recorded whenever given, even if unused
+            return args.func(cfg)
     except UsageError as exc:
         print(f"wavescat {args.command}: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None

@@ -1,8 +1,5 @@
 """The one CSV format of every wavescat output."""
 
-import os
-import shutil
-
 from . import forked
 
 # A table of fewer cells is formatted in-process: forking and copying a
@@ -26,7 +23,7 @@ class LazyRows:
 
 def write_csv(path, header, rows, config_line: str = "") -> None:
     """Write an optional ``# wavescat-config:`` line, then the header and
-    the data rows, comma-joined with LF line endings.
+    the data rows, comma-joined with LF line endings, in UTF-8.
 
     ``rows`` is a sequence (``len`` and indexing), such as a list or a
     ``LazyRows``. Cells are Python str, int or float (convert numpy rows
@@ -34,39 +31,27 @@ def write_csv(path, header, rows, config_line: str = "") -> None:
     text that reads back to the same float, so values round-trip exactly.
 
     A table of at least ``PARALLEL_CELLS`` cells is formatted on every
-    CPU in the process's affinity set: its rows are split into one
-    contiguous block per CPU, forked children format every block but the
-    first into anonymous temp files in the output's directory, and the
-    blocks are appended in order. Every block is formatted by the same
-    function, so the bytes are those of an in-process run. A child that
-    fails raises ``ChildProcessError`` once every child has exited.
+    CPU in the process's affinity set: ``forked.run_blocks`` splits its
+    rows into one contiguous block per CPU and returns each block's
+    encoded lines, which are written in order after the header. Every
+    block is formatted by ``_format``, so the bytes are those of an
+    in-process run. A child that fails raises ``ChildProcessError`` once
+    every child has exited.
     """
     n = len(rows)
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "wb") as fh:
         if config_line:
-            fh.write(f"# wavescat-config: {config_line}\n")
-        _format(fh, [header], 0, 1)
-
-        def child(part, start: int, stop: int) -> None:
-            # closed, so flushed, before a failure is reported in ``part``
-            with open(part.fileno(), "w", newline="\n",
-                      closefd=False) as out:
-                _format(out, rows, start, stop)
-
-        def gather(part, start: int, stop: int) -> None:
-            fh.flush()
-            shutil.copyfileobj(part, fh.buffer)
-
-        forked.run_blocks(
-            n, lambda start, stop: _format(fh, rows, start, stop), child,
-            gather,
-            lambda start, stop: f"formatting rows {start}-{stop - 1} of "
-                                f"{fh.name}",
-            fork=n * len(header) >= PARALLEL_CELLS,
-            directory=os.path.dirname(os.path.abspath(path)))
+            fh.write(f"# wavescat-config: {config_line}\n".encode())
+        fh.writelines(_format([header], 0, 1))
+        for lines in forked.run_blocks(
+                n, lambda start, stop: _format(rows, start, stop),
+                lambda start, stop: f"formatting rows {start}-{stop - 1} "
+                                    f"of {fh.name}",
+                fork=n * len(header) >= PARALLEL_CELLS):
+            fh.writelines(lines)
 
 
-def _format(fh, rows, start: int, stop: int) -> None:
-    for i in range(start, stop):
-        fh.write(",".join(map(str, rows[i])))
-        fh.write("\n")
+def _format(rows, start: int, stop: int) -> list[bytes]:
+    """Rows ``start`` to ``stop - 1`` as encoded CSV lines."""
+    return [f"{','.join(map(str, rows[i]))}\n".encode()
+            for i in range(start, stop)]

@@ -1,8 +1,10 @@
 """Contiguous row blocks run on every CPU, in forked children.
 
-``run_blocks`` is the one fork loop of the package. Four stages run
-through it, and none runs inside another's child, so at most one block
-per CPU runs at a time:
+``run_blocks`` is the one fork loop of the package, and the only code
+that passes a result between processes: a child pickles its block's
+result into an anonymous temp file, and the parent loads it back. Four
+stages run through it, and none runs inside another's child, so at most
+one block per CPU runs at a time:
 
 - ``write_csv`` formats a large table's rows;
 - ``feature_matrix`` scatters its segments;
@@ -12,6 +14,7 @@ per CPU runs at a time:
 
 import contextlib
 import os
+import pickle
 import tempfile
 
 from .errors import DataError, NumericalError
@@ -30,24 +33,21 @@ def cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def run_blocks(n: int, parent, child, gather, name, fork: bool = True,
-               directory=None) -> None:
-    """Run rows ``range(n)`` as one contiguous block per CPU.
+def run_blocks(n: int, work, name, fork: bool = True) -> list:
+    """``work(start, stop)`` of rows ``range(n)`` split into one
+    contiguous block per CPU, as a list of each block's result in block
+    order.
 
-    Block 0 runs in this process as ``parent(start, stop)``. Each later
-    block runs in a forked child as ``child(part, start, stop)``, which
-    writes its result into ``part``, an anonymous binary temp file in
-    ``directory``, and closes any file it opens on it. Once every child
-    has exited, ``gather(part, start, stop)`` reads each child's result
-    back here, in block order, from the start of its file. With
-    ``fork`` false, or one CPU, ``parent`` runs every row.
+    Block 0 runs in this process. Each later block runs in a forked
+    child, which pickles ``work``'s result into an anonymous temp file
+    that this process loads once every child has exited. With ``fork``
+    false, or one CPU, the list holds one result, of every row.
 
     A child that fails with a ``PASSED_ON`` error raises it here, as
     that class with the child's message; any other failure raises
     ``ChildProcessError`` naming ``name(start, stop)`` and the child's
-    error. The earliest failed block is raised, and ``gather`` is not
-    called. Every child has exited when this returns or raises, even
-    when ``parent`` raises.
+    error. The earliest failed block is raised. Every child has exited
+    when this returns or raises, even when block 0 raises.
     """
     blocks = min(cpus(), n) if fork else 1
     bounds = [n * b // blocks for b in range(blocks + 1)]
@@ -58,23 +58,24 @@ def run_blocks(n: int, parent, child, gather, name, fork: bool = True,
                 # opened before the fork, so parent and child share it;
                 # it has no name, so it vanishes with its last descriptor
                 parts.append(parts_open.enter_context(
-                    tempfile.TemporaryFile(dir=directory)))
+                    tempfile.TemporaryFile()))
                 pid = os.fork()
                 if pid == 0:
-                    _child(child, parts[-1], start, stop)
+                    _child(work, parts[-1], start, stop)
                 pids.append(pid)
-            parent(bounds[0], bounds[1])
+            results = [work(bounds[0], bounds[1])]
         finally:
             # a child ends on its own, after its block or on its error
             codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                      for pid in pids]
-        children = list(zip(parts, bounds[1:], bounds[2:]))
-        for (part, start, stop), code in zip(children, codes):
+        for part, start, stop, code in zip(parts, bounds[1:], bounds[2:],
+                                           codes):
             if code:
                 _raise_failure(part, code, name(start, stop))
-        for part, start, stop in children:
+        for part in parts:
             part.seek(0)
-            gather(part, start, stop)
+            results.append(pickle.load(part))
+        return results
 
 
 def _raise_failure(part, code: int, what: str) -> None:
@@ -97,13 +98,13 @@ def _reason(exc: BaseException) -> str:
     return f"\n{type(exc).__name__}: {exc}"
 
 
-def _child(child, part, start: int, stop: int) -> None:
-    """A forked child's whole life: run its block into ``part``, or
-    leave the reason for the failure there instead, and exit without
-    running the parent's cleanup or flushing its buffers."""
+def _child(work, part, start: int, stop: int) -> None:
+    """A forked child's whole life: pickle its block's result into
+    ``part``, or leave the reason for the failure there instead, and
+    exit without running the parent's cleanup or flushing its buffers."""
     code = 1
     try:                    # whatever happens, the child ends in _exit
-        child(part, start, stop)
+        pickle.dump(work(start, stop), part, pickle.HIGHEST_PROTOCOL)
         part.flush()
         code = 0
     except BaseException as exc:

@@ -142,17 +142,15 @@ def _wcoh_rows(smoothing, session, bank, grid):
 def _window_table(sessions, window_len, hop, bank_cfg, session_rows, names,
                   channel) -> FeatureTable:
     """A row per kept window of every session; ``session_rows(session,
-    bank, grid)`` returns one session's (features x windows) block. The
-    kept windows are counted first, so each block is copied once into
-    its rows of one preallocated matrix. The sessions are split into one
-    contiguous block per CPU: this process transforms the first block
-    and forked children the others, with banks built (and their e-fold
-    times taken) here, so the rows do not depend on the CPU count. Every
-    row is labelled with the ``CHANNELS`` entry ``channel``."""
+    bank, grid)`` returns one session's (features x windows) block.
+    ``forked.run_blocks`` splits the sessions into one contiguous block
+    per CPU, and their blocks are concatenated in session order. Banks
+    are built (and their e-fold times taken) here, before any fork, so
+    the rows do not depend on the CPU count. Every row is labelled with
+    the ``CHANNELS`` entry ``channel``."""
     grids = [chamber_windows(session, window_len, hop)
              for session in sessions]
-    bounds = np.cumsum([0] + [starts.size for _, _, starts, _ in grids])
-    if not bounds[-1]:
+    if not sum(starts.size for _, _, starts, _ in grids):
         raise DataError("no chamber-constant windows found")
     banks = [bank_cfg.bank(session.hip.samples.size, session.fs)
              for session in sessions]
@@ -161,23 +159,17 @@ def _window_table(sessions, window_len, hop, bank_cfg, session_rows, names,
     # every bank of one config has the same center frequencies
     columns = [f"{name}[{f:.4g}]" for name in names
                for f in banks[0].center_frequencies]
-    matrix = np.empty((bounds[-1], len(columns)))
 
-    def fill(start: int, stop: int) -> None:
-        for i in range(start, stop):
-            win, step, starts, _ = grids[i]
-            matrix[bounds[i]:bounds[i + 1]] = session_rows(
-                sessions[i], banks[i], (win, step, starts)).T
+    def block(start: int, stop: int) -> np.ndarray:
+        return np.concatenate([session_rows(sessions[i], banks[i],
+                                            grids[i][:3])
+                               for i in range(start, stop)], axis=1)
 
-    def child(part, start: int, stop: int) -> None:
-        fill(start, stop)
-        part.write(matrix[bounds[start]:bounds[stop]].tobytes())
-
-    def gather(part, start: int, stop: int) -> None:
-        part.readinto(matrix[bounds[start]:bounds[stop]])
-
-    forked.run_blocks(len(sessions), fill, child, gather,
-                      lambda start, stop: f"table sessions {start}-{stop - 1}")
+    # transposed into a C-ordered copy, so the matrix has one layout
+    matrix = np.concatenate(forked.run_blocks(
+        len(sessions), block,
+        lambda start, stop: f"table sessions {start}-{stop - 1}"),
+        axis=1).T.copy()
     labels = [window_labels(session, starts, codes, (channel,))
               for session, (_, _, starts, codes) in zip(sessions, grids)]
     return FeatureTable(matrix, columns, np.concatenate(labels))

@@ -243,9 +243,10 @@ def feature_matrix(windows, params: ScatteringParams):
     2, ordered lexicographically by (order, f1 desc, f2 desc); the order
     is a pure function of the parameters, so rows from different
     segments align column for column. From ``PARALLEL_SEGMENTS`` windows
-    on, they are split into one contiguous block per CPU: this process
-    transforms the first block and forked children the others, with the
-    same engine, so the rows do not depend on the CPU count.
+    on, ``forked.run_blocks`` splits them into one contiguous block per
+    CPU, each transformed by the same engine into its block of rows, and
+    the blocks are concatenated in order, so the rows do not depend on
+    the CPU count.
     """
     windows = [np.asarray(w, dtype=np.float64) for w in windows]
     if not windows:
@@ -257,23 +258,13 @@ def feature_matrix(windows, params: ScatteringParams):
         raise DataError(f"ragged segment lengths: {sorted(lengths)}")
     # built here, before any fork, so no child builds a filter bank
     eng = _engine(params, lengths.pop())
-    matrix = np.empty((len(windows), len(eng.paths)))
-
-    def fill(start: int, stop: int) -> None:
-        for i in range(start, stop):
-            matrix[i] = eng.transform(windows[i])
-
-    def child(part, start: int, stop: int) -> None:
-        fill(start, stop)
-        part.write(matrix[start:stop].tobytes())
-
-    def gather(part, start: int, stop: int) -> None:
-        part.readinto(matrix[start:stop])
-
-    forked.run_blocks(len(windows), fill, child, gather,
-                      lambda start, stop: f"scattering rows {start}-{stop - 1}",
-                      fork=len(windows) >= PARALLEL_SEGMENTS)
-    return matrix, list(eng.paths), windows
+    blocks = forked.run_blocks(
+        len(windows),
+        lambda start, stop: np.array([eng.transform(windows[i])
+                                      for i in range(start, stop)]),
+        lambda start, stop: f"scattering rows {start}-{stop - 1}",
+        fork=len(windows) >= PARALLEL_SEGMENTS)
+    return np.concatenate(blocks), list(eng.paths), windows
 
 
 def path_names(paths) -> list[str]:

@@ -9,11 +9,13 @@ import sys
 import numpy as np
 import pytest
 
-from wavescat.classify import (ConfusionMatrix, confusion_to_csv, train_mlp,
-                               train_svm_ova, train_tree)
+from wavescat.classify import (ConfusionMatrix, confusion_stats,
+                               confusion_to_csv, train_mlp, train_svm_ova,
+                               train_tree)
 from wavescat import cli, csvfile, forked, pipeline, scattering
 from wavescat.cli import OPTIONS, Config, build_parser, main
 from wavescat.coherence import SmoothingSpec
+from wavescat.csvfile import write_csv
 from wavescat.model import (Chamber, Channel, Group, Phase, save_session,
                             segment_by_chamber)
 from wavescat.pipeline import (BankConfig, chamber_dataset, cwt_table,
@@ -193,7 +195,8 @@ def test_a_scattering_gamma_of_zero_exits_3_with_one_line(
 def test_joint_stats_from_counts_reproduces_published_macro(tmp_path,
                                                             capsys):
     counts_csv = tmp_path / "counts.csv"
-    confusion_to_csv(ConfusionMatrix(COUNTS, CLASS_NAMES), counts_csv)
+    matrix = ConfusionMatrix(COUNTS, CLASS_NAMES)
+    confusion_to_csv(matrix, confusion_stats(matrix), counts_csv)
     out = tmp_path / "out"
     assert main(["joint", "--stats-from", str(counts_csv), "--out", str(out),
                  "--seed", "0"]) == 0
@@ -202,6 +205,42 @@ def test_joint_stats_from_counts_reproduces_published_macro(tmp_path,
     text = (out / "joint_stats.csv").read_text()
     footer = text.splitlines()[-1].split(",")
     assert abs(float(footer[3]) - PRINTED_MACRO) < 1e-6
+
+
+def test_joint_stats_warning_is_printed_once_as_one_line(tmp_path, capsys):
+    """A class without test rows is warned about once per matrix, as one
+    ``warning:`` line without Python's source location."""
+    counts = np.array(COUNTS)
+    counts[2] = 0
+    counts_csv = tmp_path / "counts.csv"
+    write_csv(counts_csv, ["class"] + CLASS_NAMES,
+              [[name] + row for name, row in zip(CLASS_NAMES,
+                                                 counts.tolist())])
+    assert main(["joint", "--seed", "1", "--stats-from", str(counts_csv),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: classes without test rows excluded from macro accuracy: "
+        f"{[CLASS_NAMES[2]]}"]
+
+
+def test_joint_needs_a_seed_only_to_run_the_pipeline(tmp_path, small_cohort,
+                                                      capsys):
+    counts_csv = tmp_path / "counts.csv"
+    matrix = ConfusionMatrix(COUNTS, CLASS_NAMES)
+    confusion_to_csv(matrix, confusion_stats(matrix), counts_csv)
+    out = tmp_path / "stats"
+    assert main(["joint", "--stats-from", str(counts_csv),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    first = (out / "joint_stats.csv").read_text().splitlines()[0]
+    assert "seed=" not in first
+    with pytest.raises(SystemExit) as exc:
+        main(["joint", "--data", str(small_cohort),
+              "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "wavescat joint: error: --seed is required"]
+    assert not (tmp_path / "run").exists()
 
 
 def test_joint_end_to_end_small(tmp_path, small_cohort, capsys):
@@ -454,10 +493,10 @@ def test_a_failed_writer_child_exits_2_and_leaves_no_file(
     parent = os.getpid()
     format_rows = csvfile._format
 
-    def failing_in_children(fh, rows, start, stop):
+    def failing_in_children(rows, start, stop):
         if os.getpid() != parent:
             raise OSError(28, "No space left on device")
-        format_rows(fh, rows, start, stop)
+        return format_rows(rows, start, stop)
 
     monkeypatch.setattr(csvfile, "_format", failing_in_children)
     monkeypatch.setattr(forked, "cpus", lambda: 2)
@@ -1058,10 +1097,12 @@ def test_chambers_transforms_only_the_selected_sessions(
 @pytest.mark.parametrize("argv, group", [
     (["--phase", "pre", "--group", "food"], "food"),
     (["--group", "morphine"], "morphine"),
-    (["--phase", "pre"], "food"),
+    (["--phase", "pre"], "food, morphine, saline"),
+    (["--phase", "both", "--group", "saline"], "saline"),
 ])
 def test_chambers_with_no_selected_session_exits_3(
         tmp_path, single_chamber_session, monkeypatch, capsys, argv, group):
+    """The error names the phase selection and every selected group."""
     data = tmp_path / "data"
     data.mkdir()
     save_session(single_chamber_session, data / "rat1_food_post.wscat")
@@ -1069,7 +1110,9 @@ def test_chambers_with_no_selected_session_exits_3(
     assert main(["chambers", "--data", str(data), "--out",
                  str(tmp_path / "out"), "--seed", "1", *argv]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"data error: no segments for group {group}"]
+    phase = {"pre": "pre", "both": "pre or post"}.get(argv[1], "post")
+    assert err == [f"data error: no {phase} sessions for the selected "
+                   f"groups: {group}"]
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,

@@ -51,7 +51,8 @@ def test_invalid_shapes_rejected():
 def test_csv_roundtrip(tmp_path):
     matrix = ConfusionMatrix(COUNTS, CLASS_NAMES)
     out = tmp_path / "confusion.csv"
-    confusion_to_csv(matrix, out, "cmd=test seed=1")
+    confusion_to_csv(matrix, confusion_stats(matrix), out,
+                     "cmd=test seed=1")
     text = out.read_text().splitlines()
     assert text[0] == "# wavescat-config: cmd=test seed=1"
     assert text[1].split(",")[1:13] == CLASS_NAMES
@@ -78,5 +79,6 @@ def test_whole_number_counts_are_read_exactly(tmp_path):
     counts.write_text("class,a,b\na,9007199254740993,1\nb,1,4\n")
     matrix = confusion_from_counts_csv(counts)
     assert matrix.counts.tolist() == [[9007199254740993, 1], [1, 4]]
-    confusion_to_csv(matrix, tmp_path / "out.csv")
+    confusion_to_csv(matrix, confusion_stats(matrix),
+                     tmp_path / "out.csv")
     assert "a,9007199254740993,1," in (tmp_path / "out.csv").read_text()
