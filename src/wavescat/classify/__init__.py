@@ -1,5 +1,5 @@
 from .data import Dataset
-from .kfold import predict, run_kfold
+from .kfold import KFoldJob, KFoldResult, predict, run_kfold
 from .metrics import (ConfusionMatrix, confusion_from_counts_csv,
                       confusion_stats, confusion_to_csv)
 from .mlp import MlpModel, loss_and_grad, predict_mlp, train_mlp
@@ -9,7 +9,7 @@ from .tree import (DecisionTreeModel, predict_tree, train_tree,
                    tree_complexity)
 
 __all__ = [
-    "Dataset", "predict", "run_kfold",
+    "Dataset", "KFoldJob", "KFoldResult", "predict", "run_kfold",
     "ConfusionMatrix", "confusion_from_counts_csv", "confusion_stats",
     "confusion_to_csv",
     "MlpModel", "loss_and_grad", "predict_mlp", "train_mlp",

@@ -27,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forked
-from .classify import (Dataset, confusion_from_counts_csv, confusion_stats,
-                       confusion_to_csv, run_kfold, train_mlp, train_svm_ova,
-                       train_tree, tree_complexity)
+from .classify import (Dataset, KFoldJob, confusion_from_counts_csv,
+                       confusion_stats, confusion_to_csv, run_kfold,
+                       train_mlp, train_svm_ova, train_tree, tree_complexity)
 from .coherence import (SmoothingSpec, coherence, overlay_to_csv,
                         phase_overlay)
 from .csvfile import write_csv
@@ -114,6 +113,7 @@ class Option:
     commands: tuple
     choices: tuple | dict = ()   # a dict maps a command to its choices
     required: tuple = ()         # commands that need a value
+    unless: dict | None = None   # command -> the option that lifts the need
     record: str = "always"       # in the config line: always | set | never
 
     @property
@@ -130,12 +130,15 @@ class Option:
 
 
 OPTIONS = {o.name: o for o in (
+    # joint checks its own pair: a counts CSV needs neither data nor seed
     Option("seed", _seed, None, "random seed", _ALL,
-           required=("synth", "chambers"), record="set"),
+           required=("synth", "chambers"), unless={"joint": "stats_from"},
+           record="set"),
     Option("out", str, None, "output directory", _ALL,
            required=_ALL, record="never"),
     Option("data", str, None, "directory of .wscat bundles", _DATA,
-           required=("features", "chambers", "report"), record="never"),
+           required=("features", "chambers", "report"),
+           unless={"joint": "stats_from"}, record="never"),
     Option("delta", _finite, 0.8, "separability in [0,1]", ("synth",)),
     Option("session_len", _finite, 60.0, "session length, s", ("synth",)),
     Option("fs", _finite, 1000.0, "sampling rate, Hz", ("synth",)),
@@ -345,8 +348,8 @@ def _chambers_fit(cfg: Config):
     """``fit(data, seed)`` for the ``--model`` classifier. Like joint's,
     it looks ``train_*`` up when called, so a wrapper later bound over
     the name (``perfbench/traced.py``) sees every fit made in this
-    process: with ``--model dt`` that is only the first block of cells,
-    because forked children fit the others."""
+    process: on more than one CPU that is only ``run_kfold``'s first
+    block of folds, because forked children fit the others."""
     if cfg.get("model") == "dt":
         max_depth, min_leaf = cfg.get("max_depth"), cfg.get("min_leaf")
         return lambda data, seed: train_tree(data, max_depth, min_leaf)
@@ -360,7 +363,8 @@ def cmd_chambers(cfg: Config):
     bank_cfg = _bank_config(cfg)
     seed, k = cfg.get("seed"), cfg.get("k")
     fit = _chambers_fit(cfg)
-    is_tree = cfg.get("model") == "dt"
+    # a tree's complexity is read off one more fit, on all of a cell's rows
+    full = tree_complexity if cfg.get("model") == "dt" else None
     phases = {"pre": (Phase.PRE,), "post": (Phase.POST,),
               "both": (Phase.PRE, Phase.POST)}[cfg.get("phase")]
     source_tok = cfg.get("source")
@@ -386,30 +390,19 @@ def cmd_chambers(cfg: Config):
                                       bank_cfg))
               for source in sources}
     cells = [(source, group) for source in sources for group in groups]
-
-    def fit_cells(start: int, stop: int) -> list:
-        results = []
-        for source, group in cells[start:stop]:
-            table = tables[source]
-            data = chamber_dataset(table, group, phases)
-            rats = (table.segments["rat"][group_rows(table, group, phases)]
-                    if per_rat else None)
-            matrix = run_kfold(data, k, fit, seed, groups=rats)
-            results.append((matrix, tree_complexity(fit(data, seed))
-                            if is_tree else None))
-        return results
-
-    # the MLP's BLAS threads would contend with a forked child's
-    blocks = forked.run_blocks(
-        len(cells), fit_cells,
-        lambda start, stop: f"chambers cells {start}-{stop - 1}",
-        fork=is_tree)
-    results = [result for block in blocks for result in block]
-    matrices = {(source, group.value): (matrix, confusion_stats(matrix))
-                for (source, group), (matrix, _) in zip(cells, results)}
-    complexity = {(source, group.value): tree
-                  for (source, group), (_, tree) in zip(cells, results)
-                  if tree is not None}
+    jobs = []
+    for source, group in cells:
+        table = tables[source]
+        data = chamber_dataset(table, group, phases)
+        rats = (table.segments["rat"][group_rows(table, group, phases)]
+                if per_rat else None)
+        jobs.append(KFoldJob(data, fit, rats, full=full))
+    results = run_kfold(jobs, k, seed)
+    matrices = {(source, group.value): (r.matrix, confusion_stats(r.matrix))
+                for (source, group), r in zip(cells, results)}
+    complexity = {(source, group.value): r.full
+                  for (source, group), r in zip(cells, results)
+                  if r.full is not None}
 
     line = cfg.line()
     for (source, group), (matrix, stats) in matrices.items():
@@ -462,16 +455,13 @@ def cmd_joint(cfg: Config):
         data = Dataset(data.features, rng.permutation(data.labels),
                        data.class_names)
     c, tol, max_iter = cfg.get("c"), cfg.get("tol"), cfg.get("max_iter")
-    fold_gaps = []
-
-    def fit(d, _):
-        # train_svm_ova is looked up per call, as in _chambers_fit
-        model = train_svm_ova(d, c, tol, max_iter)
-        fold_gaps.append(model.gaps)
-        return model
-
-    matrix = run_kfold(data, k, fit, seed)
-    gaps = np.concatenate(fold_gaps)
+    # train_svm_ova is looked up per call, as in _chambers_fit; each
+    # fold's machine gaps come back with its result, from any process
+    [result] = run_kfold([KFoldJob(
+        data, lambda d, _: train_svm_ova(d, c, tol, max_iter),
+        keep=lambda model: model.gaps)], k, seed)
+    matrix = result.matrix
+    gaps = np.concatenate(result.kept)
     missed = int(np.count_nonzero(gaps > tol))
     if missed:
         print(f"warning: {missed} of {gaps.size} SVM machines stopped above "
@@ -544,6 +534,8 @@ def _help(opt: Option, command: str) -> str:
         text += f" [{opt.default}]"
     if command in opt.required:
         text += " (required)"
+    elif command in (opt.unless or {}):
+        text += f" (required unless {OPTIONS[opt.unless[command]].flag})"
     return text
 
 

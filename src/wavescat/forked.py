@@ -9,10 +9,18 @@ one block per CPU runs at a time:
 - ``write_csv`` formats a large table's rows;
 - ``feature_matrix`` scatters its segments;
 - ``pipeline``'s CWT and coherence tables transform their sessions;
-- ``chambers`` fits its (source, group) cells, with ``--model dt``.
+- ``run_kfold`` fits every fold of every job (``chambers`` and
+  ``joint``), where it can cap the BLAS pool (``can_cap_blas``).
+
+While more than one block runs, the loaded OpenBLAS is held at one
+thread, in this process and in every child: a block per CPU already
+fills every CPU, and a second BLAS thread per process would only spin
+against the other processes' work.
 """
 
 import contextlib
+import ctypes
+import functools
 import os
 import pickle
 import tempfile
@@ -33,6 +41,58 @@ def cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def can_cap_blas() -> bool:
+    """Whether ``run_blocks`` can fork onto more than one CPU with the
+    BLAS pool held at one thread: false on one CPU, or where no OpenBLAS
+    thread control is loaded (another BLAS, or no ``/proc``)."""
+    return cpus() > 1 and _blas_threads() is not None
+
+
+@functools.cache
+def _blas_threads():
+    """``(get, set)`` of the loaded OpenBLAS's thread count, or None
+    where no loaded library exports them; looked up once per process.
+
+    The library is found among the files mapped into this process, and
+    its functions under the names OpenBLAS builds use: plain, or with
+    the ``scipy_`` prefix and ``64_`` suffix of the wheels numpy ships.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({fields[5].strip() for fields in
+                            (line.split(maxsplit=5) for line in maps)
+                            if len(fields) == 6
+                            and "openblas" in os.path.basename(fields[5])})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("", ""), ("scipy_", "64_"), ("", "64_"),
+                               ("scipy_", "")):
+            try:
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+                put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def _hold_blas_at_one(held: contextlib.ExitStack) -> None:
+    """Set the BLAS pool to one thread until ``held`` closes, which then
+    restores the count set before; nothing where none is found."""
+    threads = _blas_threads()
+    if threads is not None:
+        get, put = threads
+        held.callback(put, get())
+        put(1)
+
+
 def run_blocks(n: int, work, name, fork: bool = True) -> list:
     """``work(start, stop)`` of rows ``range(n)`` split into one
     contiguous block per CPU, as a list of each block's result in block
@@ -48,16 +108,24 @@ def run_blocks(n: int, work, name, fork: bool = True) -> list:
     ``ChildProcessError`` naming ``name(start, stop)`` and the child's
     error. The earliest failed block is raised. Every child has exited
     when this returns or raises, even when block 0 raises.
+
+    With more than one block, the loaded OpenBLAS runs one thread from
+    before the first fork, so every child inherits the cap, until every
+    child has exited; then the thread count set before is restored,
+    also when a block raises.
     """
     blocks = min(cpus(), n) if fork else 1
     bounds = [n * b // blocks for b in range(blocks + 1)]
-    with contextlib.ExitStack() as parts_open:
+    with contextlib.ExitStack() as held:
+        if blocks > 1:
+            # closed last, after the reaping below
+            _hold_blas_at_one(held)
         parts, pids = [], []
         try:
             for start, stop in zip(bounds[1:-1], bounds[2:]):
                 # opened before the fork, so parent and child share it;
                 # it has no name, so it vanishes with its last descriptor
-                parts.append(parts_open.enter_context(
+                parts.append(held.enter_context(
                     tempfile.TemporaryFile()))
                 pid = os.fork()
                 if pid == 0:

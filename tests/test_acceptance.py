@@ -13,9 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from wavescat.classify import (ConfusionMatrix, Dataset, confusion_stats,
-                               loss_and_grad, predict_tree, run_kfold,
-                               train_svm_ova, train_tree, tree_complexity)
+from wavescat.classify import (ConfusionMatrix, Dataset, KFoldJob,
+                               confusion_stats, loss_and_grad, predict_tree,
+                               run_kfold, train_svm_ova, train_tree,
+                               tree_complexity)
 from wavescat.cli import main
 from wavescat.coherence import SmoothingSpec, coherence
 from wavescat.cwt import Scalogram, cwt
@@ -301,8 +302,9 @@ def test_criterion_5_classifier_oracles():
                     ["a", "b", "c"])
     conserved = True
     for k in (2, 5, 10, 90):
-        matrix = run_kfold(blobs, k, lambda d, _: train_tree(d), seed=1)
-        conserved &= matrix.total == 90
+        [result] = run_kfold([KFoldJob(blobs, lambda d, _: train_tree(d))],
+                             k, seed=1)
+        conserved &= result.matrix.total == 90
     checks["kfold_conservation"] = conserved
     checks["runtime_1min"] = time.time() - start < 60.0
     verdict(5, "classifier oracles", checks)

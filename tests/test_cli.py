@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from wavescat.classify import (ConfusionMatrix, confusion_stats,
+from wavescat.classify import (ConfusionMatrix, KFoldJob, confusion_stats,
                                confusion_to_csv, train_mlp, train_svm_ova,
                                train_tree)
 from wavescat import cli, csvfile, forked, pipeline, scattering
@@ -542,9 +542,10 @@ def test_a_failed_scattering_child_exits_2_and_leaves_no_file(
         os.waitpid(-1, os.WNOHANG)
 
 
-def run_on_cpus(cpus, argv):
+def run_on_cpus(cpus, argv, code=0):
     """Run the CLI in a child pinned to the first ``cpus`` CPUs of this
-    process, or to all of them for 0."""
+    process, or to all of them for 0; check that it exits with ``code``
+    and return its stderr."""
     run = ("import os, sys\n"
            "cpus = sorted(os.sched_getaffinity(0))\n"
            "os.sched_setaffinity(0, cpus[:int(sys.argv[1]) or None])\n"
@@ -553,9 +554,11 @@ def run_on_cpus(cpus, argv):
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    subprocess.run([sys.executable, "-c", run, str(cpus), *argv],
-                   env=env, check=True, timeout=120,
-                   stdout=subprocess.DEVNULL)
+    done = subprocess.run([sys.executable, "-c", run, str(cpus), *argv],
+                          env=env, timeout=120, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    assert done.returncode == code, done.stderr
+    return done.stderr
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
@@ -941,6 +944,25 @@ def test_joint_without_data_or_stats_exits_2(tmp_path, capsys):
     assert "--data or --stats-from is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, required", [
+    ("joint", {"out": "(required)", "data": "(required unless --stats-from)",
+               "seed": "(required unless --stats-from)"}),
+    ("chambers", {"out": "(required)", "data": "(required)",
+                  "seed": "(required)"}),
+    ("report", {"out": "(required)", "data": "(required)"}),
+])
+def test_help_marks_what_a_command_needs(command, required):
+    """Every option a command refuses to run without says so in its
+    --help; joint's data and seed are needed only without a counts CSV."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    marks = {action.dest: re.search(r"\(required[^()]*\)$", action.help)
+             for action in sub.choices[command]._actions if action.help}
+    assert {dest: mark.group(0) for dest, mark in marks.items()
+            if mark} == required
+
+
 def test_per_rat_from_config_matches_flag(tmp_path):
     data = tmp_path / "data"
     assert main(["synth", "--out", str(data), "--seed", "5",
@@ -1067,9 +1089,11 @@ def test_chambers_transforms_only_the_selected_sessions(
     folds = []
     original_kfold = cli.run_kfold
 
-    def recording_kfold(data, *args, **kwargs):
-        folds.append((data, original_kfold(data, *args, **kwargs)))
-        return folds[-1][1]
+    def recording_kfold(jobs, *args, **kwargs):
+        results = original_kfold(jobs, *args, **kwargs)
+        folds.extend((job.data, result.matrix)
+                     for job, result in zip(jobs, results))
+        return results
 
     monkeypatch.setattr(cli, "run_kfold", recording_kfold)
     assert main(["chambers", "--data", str(every_session_cohort),
@@ -1090,8 +1114,8 @@ def test_chambers_transforms_only_the_selected_sessions(
     for (data, matrix), oracle in zip(folds, expected):
         assert data.features.tobytes() == oracle.features.tobytes()
         assert data.labels.tolist() == oracle.labels.tolist()
-        assert np.array_equal(matrix.counts,
-                              original_kfold(oracle, 3, fit, 1).counts)
+        [result] = original_kfold([KFoldJob(oracle, fit)], 3, 1)
+        assert np.array_equal(matrix.counts, result.matrix.counts)
 
 
 @pytest.mark.parametrize("argv, group", [
@@ -1132,6 +1156,60 @@ def test_chambers_bytes_do_not_depend_on_the_cpu_count(tmp_path,
     assert tree_digest(tmp_path / "1") == tree_digest(tmp_path / "0")
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to compare against one")
+def test_chambers_mlp_bytes_do_not_depend_on_the_cpu_count(
+        tmp_path, every_chamber_cohort):
+    """``chambers --model mlp``, whose folds are split across CPUs with
+    the BLAS pool at one thread, writes the same bytes and stderr on one
+    CPU and on every CPU."""
+    errs = [run_on_cpus(cpus, ["chambers", "--data",
+                               str(every_chamber_cohort), "--seed", "1",
+                               "--model", "mlp", "--source", "all",
+                               "--epochs", "100", "--out",
+                               str(tmp_path / cpus)])
+            for cpus in ("1", "0")]
+    assert errs[0] == errs[1]
+    names = sorted(os.listdir(tmp_path / "1"))
+    assert names == sorted(os.listdir(tmp_path / "0"))
+    assert len(names) == 10            # 9 confusions and the accuracy
+    assert tree_digest(tmp_path / "1") == tree_digest(tmp_path / "0")
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to compare against one")
+def test_joint_bytes_and_warning_do_not_depend_on_the_cpu_count(
+        tmp_path, small_cohort):
+    """``joint``'s SVM folds split across CPUs write the same bytes, and
+    its gap warning counts the machines of every fold, forked or not."""
+    errs = [run_on_cpus(cpus, ["joint", "--data", str(small_cohort),
+                               "--seed", "1", "--out", str(tmp_path / cpus)])
+            for cpus in ("1", "0")]
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("warning: ")
+    assert " of 120 SVM machines stopped above tol=0.001" in errs[0]
+    assert tree_digest(tmp_path / "1") == tree_digest(tmp_path / "0")
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to compare against one")
+def test_mlp_divergence_does_not_depend_on_the_cpu_count(tmp_path,
+                                                         small_cohort):
+    """A diverging MLP fold ends the run with exit 4 and the same error
+    line on one CPU and on every CPU, and writes nothing."""
+    errs = [run_on_cpus(cpus, ["chambers", "--data", str(small_cohort),
+                               "--seed", "1", "--group", "food", "--source",
+                               "hip", "--hop", "1.0", "--model", "mlp",
+                               "--epochs", "200", "--learning-rate", "1e12",
+                               "--phase", "both", "--out",
+                               str(tmp_path / cpus)], code=4)
+            for cpus in ("1", "0")]
+    assert errs[0] == errs[1]
+    assert len(errs[0].splitlines()) == 1
+    assert errs[0].startswith("numerical failure: ")
+    assert list((tmp_path / "1").iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def two_food_rat_cohort(tmp_path_factory):
     # every post session visits all three chambers; food alone has two
@@ -1144,13 +1222,15 @@ def two_food_rat_cohort(tmp_path_factory):
 
 
 @pytest.mark.parametrize("cohort, argv, exit_code", [
-    # food passes and the second cell fails: on 2 or 3 CPUs, in a child
+    # food passes and a later cell fails before any fit, while the jobs
+    # and their folds are dealt
     ("small_cohort", ["--source", "hip"], 3),   # morphine lacks a chamber
     ("two_food_rat_cohort", ["--source", "hip", "--hop", "1.0",
                              "--k", "50"], 3),
     ("two_food_rat_cohort", ["--source", "hip", "--hop", "1.0",
                              "--per-rat", "--k", "2"], 3),
-    # every cell fails, the first in this process
+    # every cell fails: while dealt, or in every block's first fit, which
+    # is raised from this process
     ("small_cohort", ["--group", "food", "--source", "all", "--hop", "1.0",
                       "--k", "100000"], 3),
     ("small_cohort", ["--group", "food", "--source", "all", "--hop", "1.0",

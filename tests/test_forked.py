@@ -107,3 +107,43 @@ def test_a_failure_in_this_processs_block_still_reaps_every_child(
         forked.run_blocks(3, work, name)
     assert len(forks) == 2
     assert_no_child_left()
+
+
+@pytest.fixture
+def blas_threads():
+    """The loaded OpenBLAS's thread count, set to 2 for the test and put
+    back after it."""
+    threads = forked._blas_threads()
+    if threads is None:
+        pytest.skip("no OpenBLAS thread control is loaded")
+    get, put = threads
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def test_blocks_run_with_one_blas_thread(monkeypatch, blas_threads):
+    """Block 0 here and each child's block read a one-thread BLAS pool,
+    and the count set before is back once every child has exited."""
+    monkeypatch.setattr(forked, "cpus", lambda: 3)
+    counts = forked.run_blocks(3, lambda start, stop: blas_threads(), name)
+    assert counts == [1, 1, 1]
+    assert blas_threads() == 2
+    assert forked.run_blocks(3, lambda start, stop: blas_threads(), name,
+                             fork=False) == [2]
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_the_blas_count_is_restored_when_a_block_raises(
+        monkeypatch, blas_threads, failing):
+    def work(start, stop):
+        if start == failing:
+            raise DataError(f"block {start}")
+        return start
+
+    monkeypatch.setattr(forked, "cpus", lambda: 2)
+    with pytest.raises(DataError, match=f"^block {failing}$"):
+        forked.run_blocks(2, work, name)
+    assert blas_threads() == 2
+    assert_no_child_left()

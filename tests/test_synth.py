@@ -131,7 +131,8 @@ def test_segments_from_synth_sessions_carry_labels():
 
 @pytest.mark.slow
 def test_accuracy_monotone_in_delta():
-    from wavescat.classify import confusion_stats, run_kfold, train_tree
+    from wavescat.classify import (KFoldJob, confusion_stats, run_kfold,
+                                   train_tree)
     from wavescat.model import Channel
     from wavescat.pipeline import BankConfig, cwt_table, joint_dataset
 
@@ -152,8 +153,9 @@ def test_accuracy_monotone_in_delta():
         from wavescat.pipeline import FeatureTable
         table = FeatureTable(matrix, tables[0].columns, segments)
         data = joint_dataset(table)
-        result = run_kfold(data, 5, lambda d, _: train_tree(d), seed=17)
-        accuracies.append(confusion_stats(result)["micro"])
+        [result] = run_kfold([KFoldJob(data, lambda d, _: train_tree(d))],
+                             5, seed=17)
+        accuracies.append(confusion_stats(result.matrix)["micro"])
     assert accuracies[0] < accuracies[1] + 3.0
     assert accuracies[1] < accuracies[2] + 3.0
     assert accuracies[2] > 80.0
