@@ -37,9 +37,9 @@ from .cwt import cwt, scalogram_to_csv
 from .errors import DataError, NumericalError
 from .model import Channel, Group, Phase
 from .netpbm import to_gray, write_pgm
-from .pipeline import (BankConfig, chamber_dataset, cwt_table, group_rows,
-                       joint_dataset, load_sessions, scatter_table,
-                       table_to_csv, wcoh_table)
+from .morse import MorseParams
+from .pipeline import (chamber_dataset, cwt_table, group_rows, joint_dataset,
+                       load_sessions, scatter_table, table_to_csv, wcoh_table)
 from .scattering import ScatteringParams
 from .synth import SynthSpec, generate_cohort
 
@@ -91,14 +91,15 @@ def _seed(text: str) -> int:
 
 
 def _sizes(text: str) -> str:
-    """Comma-separated layer sizes, recorded in the config line as
-    ``8,4`` however the value was spaced."""
+    """Comma-separated layer sizes, at least one, recorded in the config
+    line as ``8,4`` however the value was spaced."""
     try:
-        return ",".join(str(int(size))
-                        for size in filter(None, text.split(",")))
+        if text.strip(", "):
+            return ",".join(str(int(size))
+                            for size in filter(None, text.split(",")))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not comma-separated integers: {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}")
 
 
 @dataclass(frozen=True)
@@ -284,10 +285,9 @@ def _bundle_paths(data_dir):
     return paths
 
 
-def _bank_config(cfg: Config) -> BankConfig:
-    return BankConfig(gamma=cfg.get("gamma"), time_bandwidth=cfg.get("tb"),
-                      voices_per_octave=cfg.get("voices"),
-                      fmin=cfg.get("fmin"), fmax=cfg.get("fmax"))
+def _bank_config(cfg: Config) -> MorseParams:
+    return MorseParams(cfg.get("gamma"), cfg.get("tb"), cfg.get("voices"),
+                       cfg.get("fmin"), cfg.get("fmax"))
 
 
 def _smoothing(cfg: Config) -> SmoothingSpec:
@@ -353,14 +353,14 @@ def _chambers_fit(cfg: Config):
     if cfg.get("model") == "dt":
         max_depth, min_leaf = cfg.get("max_depth"), cfg.get("min_leaf")
         return lambda data, seed: train_tree(data, max_depth, min_leaf)
-    hidden = tuple(int(h) for h in cfg.get("hidden").split(",") if h)
+    hidden = tuple(map(int, cfg.get("hidden").split(",")))
     epochs, rate = cfg.get("epochs"), cfg.get("learning_rate")
     return lambda data, seed: train_mlp(data, hidden, epochs, rate, seed)
 
 
 def cmd_chambers(cfg: Config):
     window, hop = cfg.get("window"), cfg.get("hop")
-    bank_cfg = _bank_config(cfg)
+    params = _bank_config(cfg)
     seed, k = cfg.get("seed"), cfg.get("k")
     fit = _chambers_fit(cfg)
     # a tree's complexity is read off one more fit, on all of a cell's rows
@@ -384,10 +384,10 @@ def cmd_chambers(cfg: Config):
                         f"{', '.join(g.value for g in groups)}")
 
     os.makedirs(out_dir, exist_ok=True)
-    tables = {source: (wcoh_table(sessions, window, hop, bank_cfg, smoothing)
+    tables = {source: (wcoh_table(sessions, window, hop, params, smoothing)
                        if source == "wcoh"
                        else cwt_table(sessions, Channel(source), window, hop,
-                                      bank_cfg))
+                                      params))
               for source in sources}
     cells = [(source, group) for source in sources for group in groups]
     jobs = []

@@ -94,11 +94,6 @@ def cwt(x: TimeSeries | np.ndarray, bank: FilterBank) -> Scalogram:
     )
 
 
-def next_pow2(n: int) -> int:
-    """Smallest power of two >= n, for n >= 1."""
-    return 1 << (n - 1).bit_length()
-
-
 def scalogram_to_csv(mag: np.ndarray, scale_axis, time_axis, path,
                      config_line: str = "") -> None:
     """Magnitudes as CSV: header row = time axis, first column = frequency."""

@@ -9,37 +9,69 @@ where ``tb`` is the time-bandwidth product and ``gamma`` the symmetry
 parameter. The normalizing constant pins the peak value to exactly 2 at
 w = (tb / gamma)**(1 / gamma), so the transform of a unit-amplitude
 analytic sinusoid has ridge magnitude ~1. Everything is computed in
-log space; the closed form stays finite for any positive parameters.
+log space, and ``MorseParams`` refuses a shape that leaves float64 even
+there, so the response of every accepted shape is finite.
 
-A filter bank samples dilations of the mother on the DFT frequency grid,
-with center frequencies geometrically spaced by 2**(1/voices_per_octave).
+One ``MorseParams`` describes a filter bank: dilations of the mother on
+the DFT grid, center frequencies from ``fmax`` down to ``fmin`` spaced
+by 2**(1/voices_per_octave).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
 
-DEFAULT_GAMMA = 3.0
-DEFAULT_TIME_BANDWIDTH = 60.0
-DEFAULT_VOICES = 10
-DEFAULT_FMIN = 1.0
-DEFAULT_FMAX = 100.0
+
+def next_pow2(n: int) -> int:
+    """Smallest power of two >= n, for n >= 1."""
+    return 1 << (n - 1).bit_length()
 
 
 @dataclass(frozen=True)
 class MorseParams:
-    """Wavelet shape: symmetry ``gamma`` and time-bandwidth product."""
+    """A filter bank: the wavelet's symmetry ``gamma`` and time-bandwidth
+    product, its voices and band; it caches the banks ``bank`` builds."""
 
-    gamma: float = DEFAULT_GAMMA
-    time_bandwidth: float = DEFAULT_TIME_BANDWIDTH
+    gamma: float = 3.0
+    time_bandwidth: float = 60.0
+    voices_per_octave: int = 10
+    fmin: float = 1.0
+    fmax: float = 100.0
+    _banks: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
-        if not (self.gamma > 0 and self.time_bandwidth > 0):
+        g, tb = float(self.gamma), float(self.time_bandwidth)
+        if not (g > 0 and tb > 0):
             raise DataError("gamma and time_bandwidth must be positive")
+        if not (0 < self.fmin < self.fmax):
+            raise DataError("need 0 < fmin < fmax")
+        if self.voices_per_octave < 1:
+            raise DataError("voices_per_octave must be >= 1")
+        # tb * log(w) must be finite at every positive float w (|log w|
+        # < 745), and the peak's response 2 to 1e-6, not lost to rounding
+        with np.errstate(all="ignore"):
+            peak = morse_hat(np.exp(np.log(tb / g) / g), self)
+        if not (math.isfinite(tb * 745.0)
+                and math.isclose(peak, 2.0, rel_tol=1e-6)):
+            raise DataError(f"gamma={g:g} and time_bandwidth={tb:g} leave "
+                            f"floating-point range")
+
+    def bank(self, n_samples: int, fs: float) -> FilterBank:
+        """The bank for signals of ``n_samples`` at ``fs``, padded to the
+        next power of two: built, with its e-fold times, on its first
+        request, then shared."""
+        n = next_pow2(n_samples)
+        if (n, fs) not in self._banks:
+            bank = build_filterbank(n, fs, self)
+            bank.efold_times()
+            self._banks[n, fs] = bank
+        return self._banks[n, fs]
 
 
 def morse_hat(omega, params: MorseParams):
@@ -76,11 +108,14 @@ class FilterBank:
 
     params: MorseParams
     fs: float
-    voices_per_octave: int
     center_frequencies: np.ndarray
     filters: np.ndarray
     _efold_times: np.ndarray | None = field(default=None, init=False,
                                             repr=False)
+
+    @property
+    def voices_per_octave(self) -> int:
+        return self.params.voices_per_octave
 
     @property
     def n(self) -> int:
@@ -106,29 +141,22 @@ class FilterBank:
         return self._efold_times
 
 
-def build_filterbank(n: int, fs: float, params: MorseParams | None = None,
-                     voices_per_octave: int = DEFAULT_VOICES,
-                     fmin: float = DEFAULT_FMIN,
-                     fmax: float = DEFAULT_FMAX) -> FilterBank:
-    """Build the multi-voice bank for signals of length ``n``.
+def build_filterbank(n: int, fs: float, params: MorseParams) -> FilterBank:
+    """Build the bank ``params`` describes for signals of length ``n``.
 
     Center frequencies run from ``fmax`` downward by factors of
     2**(1/voices_per_octave); the first value below ``fmin`` is excluded.
     """
-    params = params or MorseParams()
     if n < 4:
         raise DataError("n must be at least 4")
-    if not (0 < fmin < fmax):
-        raise DataError("need 0 < fmin < fmax")
+    voices, fmax = params.voices_per_octave, params.fmax
     if fmax > fs / 2:
         raise DataError(f"fmax={fmax} exceeds Nyquist {fs / 2}")
-    if voices_per_octave < 1:
-        raise DataError("voices_per_octave must be >= 1")
-    n_scales = int(np.floor(voices_per_octave * np.log2(fmax / fmin))) + 1
+    n_scales = int(np.floor(voices * np.log2(fmax / params.fmin))) + 1
     # the largest array comes first: a bank too large for memory then
     # fails at once, before the per-voice arrays fill memory
     filters = np.empty((n_scales, n))
-    centers = fmax * 2.0 ** (-np.arange(n_scales) / voices_per_octave)
+    centers = fmax * 2.0 ** (-np.arange(n_scales) / voices)
     omega_p = peak_frequency(params)
     # DFT grid in rad/sample; bins above n//2 are negative frequencies.
     k = np.arange(n)
@@ -137,4 +165,4 @@ def build_filterbank(n: int, fs: float, params: MorseParams | None = None,
     for j, fc in enumerate(centers):
         omega_j = 2.0 * np.pi * fc / fs
         filters[j] = morse_hat(omega * (omega_p / omega_j), params)
-    return FilterBank(params, fs, voices_per_octave, centers, filters)
+    return FilterBank(params, fs, centers, filters)

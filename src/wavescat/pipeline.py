@@ -1,8 +1,9 @@
 """Session-to-dataset plumbing shared by the CLI workflows.
 
 CWT and coherence features come from *session-level* transforms, one
-pass per session: each channel is transformed once into a compact
-scalogram (``cwt`` frees the padded transform behind it), the kept
+pass per session against the bank that ``MorseParams.bank`` shares
+among sessions of one padded length: each channel is transformed once
+into a compact scalogram (``cwt`` frees the padded transform), the kept
 windows on the hop grid, and only those, are summarized per scale at
 once, and the session's scalogram-sized arrays are freed once its rows
 exist. The one COI rule, ``_coi_mean``, averages a window's cells inside
@@ -25,7 +26,7 @@ array operations on those records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -34,38 +35,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import forked
 from .coherence import SmoothingSpec, coherence
 from .csvfile import LazyRows, write_csv
-from .cwt import cwt, next_pow2
+from .cwt import cwt
 from .errors import DataError
 from .model import (CHANNELS, JOINT_GROUPS, JOINT_PHASES, Chamber, Channel,
                     Group, Phase, RecordingSession, chamber_windows,
                     load_session, segment_by_chamber, window_labels)
-from .morse import MorseParams, build_filterbank
+from .morse import MorseParams
 from .classify import Dataset
 from .scattering import ScatteringParams, feature_matrix, path_names
 
 # the chamber classes, in confusion-chart order
 CHAMBER_ORDER = (Chamber.REWARDED, Chamber.NULL, Chamber.UNREWARDED)
-
-
-@dataclass(frozen=True)
-class BankConfig:
-    gamma: float = 3.0
-    time_bandwidth: float = 60.0
-    voices_per_octave: int = 10
-    fmin: float = 1.0
-    fmax: float = 100.0
-    _banks: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
-
-    def bank(self, n_samples: int, fs: float):
-        """The bank for signals of ``n_samples`` at ``fs``, padded to the
-        next power of two; built on its first request, then shared."""
-        n = next_pow2(n_samples)
-        if (n, fs) not in self._banks:
-            self._banks[n, fs] = build_filterbank(
-                n, fs, MorseParams(self.gamma, self.time_bandwidth),
-                self.voices_per_octave, self.fmin, self.fmax)
-        return self._banks[n, fs]
 
 
 def load_sessions(paths) -> list[RecordingSession]:
@@ -139,24 +119,22 @@ def _wcoh_rows(smoothing, session, bank, grid):
     return np.concatenate([coh_mean, phase_mean])
 
 
-def _window_table(sessions, window_len, hop, bank_cfg, session_rows, names,
+def _window_table(sessions, window_len, hop, params, session_rows, names,
                   channel) -> FeatureTable:
     """A row per kept window of every session; ``session_rows(session,
     bank, grid)`` returns one session's (features x windows) block.
     ``forked.run_blocks`` splits the sessions into one contiguous block
     per CPU, and their blocks are concatenated in session order. Banks
-    are built (and their e-fold times taken) here, before any fork, so
-    the rows do not depend on the CPU count. Every row is labelled with
-    the ``CHANNELS`` entry ``channel``."""
+    come from ``params.bank`` here, with their e-fold times, before any
+    fork, so the rows do not depend on the CPU count. Every row is
+    labelled with the ``CHANNELS`` entry ``channel``."""
     grids = [chamber_windows(session, window_len, hop)
              for session in sessions]
     if not sum(starts.size for _, _, starts, _ in grids):
         raise DataError("no chamber-constant windows found")
-    banks = [bank_cfg.bank(session.hip.samples.size, session.fs)
+    banks = [params.bank(session.hip.samples.size, session.fs)
              for session in sessions]
-    for bank in banks:
-        bank.efold_times()            # cached on the bank, before any fork
-    # every bank of one config has the same center frequencies
+    # every bank of one spec has the same center frequencies
     columns = [f"{name}[{f:.4g}]" for name in names
                for f in banks[0].center_frequencies]
 
@@ -176,17 +154,17 @@ def _window_table(sessions, window_len, hop, bank_cfg, session_rows, names,
 
 
 def cwt_table(sessions, channel: Channel, window_len: float, hop: float,
-              bank_cfg: BankConfig) -> FeatureTable:
+              params: MorseParams) -> FeatureTable:
     """Per-scale magnitude mean and variance of each window."""
-    return _window_table(sessions, window_len, hop, bank_cfg,
+    return _window_table(sessions, window_len, hop, params,
                          partial(_cwt_rows, channel), ("cwt_mean", "cwt_var"),
                          channel.display)
 
 
-def wcoh_table(sessions, window_len: float, hop: float, bank_cfg: BankConfig,
+def wcoh_table(sessions, window_len: float, hop: float, params: MorseParams,
                smoothing: SmoothingSpec) -> FeatureTable:
     """Per-scale mean coherence and circular-mean phase of each window."""
-    return _window_table(sessions, window_len, hop, bank_cfg,
+    return _window_table(sessions, window_len, hop, params,
                          partial(_wcoh_rows, smoothing),
                          ("coh_mean", "phase_mean"), "HIP-NAc")
 

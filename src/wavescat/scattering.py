@@ -32,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forked
-from .cwt import next_pow2
 from .errors import DataError
-from .morse import MorseParams, build_filterbank
+from .morse import MorseParams, build_filterbank, next_pow2
 
 LN2 = float(np.log(2.0))
 # a filter's support ends at its last bin above this fraction of its peak
@@ -107,12 +106,11 @@ class _Engine:
             raise DataError("segment shorter than the invariance scale T")
         self.n = n
         fs = params.fs
-        self.bank1 = build_filterbank(
-            self.n, fs, MorseParams(params.gamma, _tb_for_q(params.q1, params.gamma)),
-            voices_per_octave=params.q1, fmin=params.band_min, fmax=params.fmax)
-        self.bank2 = build_filterbank(
-            self.n, fs, MorseParams(params.gamma, _tb_for_q(params.q2, params.gamma)),
-            voices_per_octave=params.q2, fmin=params.band_min, fmax=params.fmax)
+        self.bank1, self.bank2 = (
+            build_filterbank(n, fs, MorseParams(
+                params.gamma, _tb_for_q(q, params.gamma), q,
+                params.band_min, params.fmax))
+            for q in (params.q1, params.q2))
         self.f1 = self.bank1.center_frequencies
         self.f2 = self.bank2.center_frequencies
         # Morse filters vanish at negative frequencies, so the rfft bins

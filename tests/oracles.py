@@ -351,12 +351,11 @@ class FullGridEngine:
         self.n_sig = n_sig
         self.n = n_sig
         fs = params.fs
-        self.bank1 = build_filterbank(
-            self.n, fs, MorseParams(params.gamma, _tb_for_q(params.q1, params.gamma)),
-            voices_per_octave=params.q1, fmin=params.band_min, fmax=params.fmax)
-        self.bank2 = build_filterbank(
-            self.n, fs, MorseParams(params.gamma, _tb_for_q(params.q2, params.gamma)),
-            voices_per_octave=params.q2, fmin=params.band_min, fmax=params.fmax)
+        self.bank1, self.bank2 = (
+            build_filterbank(self.n, fs, MorseParams(
+                params.gamma, _tb_for_q(q, params.gamma), q,
+                params.band_min, params.fmax))
+            for q in (params.q1, params.q2))
         self.f1 = self.bank1.center_frequencies
         self.f2 = self.bank2.center_frequencies
         self.filters1 = self._frame_normalized(self.bank1.filters)

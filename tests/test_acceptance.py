@@ -80,7 +80,8 @@ def test_criterion_2_morse_cwt_oracles():
     worst_quad = 0.0
     rng = np.random.default_rng(2)
     for n in (256, 1024):
-        bank = build_filterbank(n, FS, MorseParams(), 3, 4.0, 100.0)
+        bank = build_filterbank(n, FS, MorseParams(voices_per_octave=3,
+                                                   fmin=4.0))
         x = rng.standard_normal(n)
         got = cwt(x, bank).coefficients
         ref = direct_cwt(x, bank.filters)
@@ -90,7 +91,8 @@ def test_criterion_2_morse_cwt_oracles():
             worst_quad = max(worst_quad, err)
     checks["quadrature_1e-6"] = worst_quad < 1e-6
 
-    bank = build_filterbank(512, FS, MorseParams(), 4, 4.0, 100.0)
+    bank = build_filterbank(512, FS, MorseParams(voices_per_octave=4,
+                                                 fmin=4.0))
     x, y = rng.standard_normal(512), rng.standard_normal(512)
     lin_lhs = cwt(2.5 * x - 0.7 * y, bank).coefficients
     lin_rhs = 2.5 * cwt(x, bank).coefficients - 0.7 * cwt(y, bank).coefficients
@@ -120,7 +122,7 @@ def test_criterion_3_coherence_properties():
     checks = {}
 
     n = 1024
-    bank = build_filterbank(n, FS, MorseParams(), 6, 4.0, 100.0)
+    bank = build_filterbank(n, FS, MorseParams(voices_per_octave=6, fmin=4.0))
     rng = np.random.default_rng(3)
     cx = cwt(rng.standard_normal(n), bank)
     cmap = coherence(cx, cx, SmoothingSpec())
@@ -136,7 +138,7 @@ def test_criterion_3_coherence_properties():
         lo, hi = min(lo, float(m.min())), max(hi, float(m.max()))
     checks["bounds_1000_fuzz"] = lo >= 0.0 and hi <= 1.0 + 1e-12
 
-    big = build_filterbank(4096, FS, MorseParams(), 10, 1.0, 100.0)
+    big = build_filterbank(4096, FS, MorseParams())
     t = np.arange(4096) / FS
     clean = np.cos(2 * np.pi * 8.0 * t)
     delay = int(round(FS / 32.0))
@@ -155,7 +157,8 @@ def test_criterion_3_coherence_properties():
 
     means = []
     spec = SmoothingSpec(c_t=1.1, c_s=0.83)
-    small = build_filterbank(1024, FS, MorseParams(), 6, 4.0, 100.0)
+    small = build_filterbank(1024, FS, MorseParams(voices_per_octave=6,
+                                                   fmin=4.0))
     for seed in range(100):
         r = np.random.default_rng(1000 + seed)
         ca = cwt(r.standard_normal(1024), small)

@@ -18,8 +18,9 @@ from wavescat.coherence import SmoothingSpec
 from wavescat.csvfile import write_csv
 from wavescat.model import (Chamber, Channel, Group, Phase, save_session,
                             segment_by_chamber)
-from wavescat.pipeline import (BankConfig, chamber_dataset, cwt_table,
-                               load_sessions, wcoh_table)
+from wavescat.morse import MorseParams
+from wavescat.pipeline import (chamber_dataset, cwt_table, load_sessions,
+                               wcoh_table)
 from wavescat.scattering import ScatteringParams, feature_matrix
 from wavescat.synth import SynthSpec
 
@@ -149,7 +150,7 @@ def test_features_cwt_and_wcoh_match_per_window_oracle(tmp_path):
                                track=track, rat=rat)
         save_session(session, data / f"{rat}_food_post.wscat")
     sessions = load_sessions(sorted(str(p) for p in data.iterdir()))
-    bank = BankConfig().bank(4096, 250.0)
+    bank = MorseParams().bank(4096, 250.0)
     runs = (("cwt", "features_cwt_hip.csv",
              lambda s: cwt_rows_by_window(s, Channel.HIP, 1.0, 0.5, bank)),
             ("wcoh", "features_wcoh.csv",
@@ -376,6 +377,7 @@ def test_invalid_classifier_settings_exit_3(tmp_path, small_cohort, capsys,
 
 IDENTITY = ("identity smoothing makes coherence trivially 1; widen the "
             "time or scale kernel")
+MORSE_RANGE = "gamma=%s and time_bandwidth=%s leave floating-point range"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -404,6 +406,17 @@ IDENTITY = ("identity smoothing makes coherence trivially 1; widen the "
      "session_len * fs gives inf samples, too many for int64"),
     (["synth", "--fs", "1e308"],
      "session_len * fs gives inf samples, too many for int64"),
+    # Morse shapes outside float64: the peak frequency overflows, then
+    # the normalization; scattering derives each layer's tb from gamma
+    (["features", "cwt", "--gamma", "1e-5"], MORSE_RANGE % ("1e-05", "60")),
+    (["features", "cwt", "--tb", "1e308"], MORSE_RANGE % ("3", "1e+308")),
+    (["chambers", "--group", "food", "--tb", "1e308"],
+     MORSE_RANGE % ("3", "1e+308")),
+    (["report", "--gamma", "1e-5"], MORSE_RANGE % ("1e-05", "60")),
+    (["features", "scatter", "--gamma", "1e-5"],
+     MORSE_RANGE % ("1e-05", "7.3866e+07")),
+    (["features", "scatter", "--gamma", "1e-300"],
+     MORSE_RANGE % ("1e-300", "7.3866e+302")),
 ])
 def test_negative_counts_and_smoothing_exit_3(tmp_path, small_cohort, capsys,
                                              argv, message):
@@ -642,7 +655,7 @@ def test_library_defaults_match_the_cli():
     args = build_parser().parse_args(["features", "scatter", "--data", "d",
                                       "--out", "o"])
     cfg = Config(args, {})
-    assert cli._bank_config(cfg) == BankConfig()
+    assert cli._bank_config(cfg) == MorseParams()
     assert cli._smoothing(cfg) == SmoothingSpec()
     assert cli._scatter_params(cfg, ScatteringParams.fs) == ScatteringParams()
     checked = 0
@@ -843,6 +856,26 @@ def test_malformed_sizes_flag_gives_the_caster_message(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --hidden: not comma-separated integers: 'x'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, conf", [
+    ([","], ""), ([""], ""), ([" , "], ""), ([], "hidden = ,\n"),
+], ids=["comma", "empty", "spaced-comma", "config-file"])
+def test_hidden_sizes_with_no_size_are_refused(tmp_path, capsys, flag,
+                                               conf):
+    # an MLP without a hidden layer would record "hidden=", a config
+    # line that --config refuses
+    config = tmp_path / "run.conf"
+    config.write_text(conf)
+    with pytest.raises(SystemExit) as exc:
+        main(["chambers", "--seed", "1", "--data", "d", "--model", "mlp",
+              "--config", str(config), "--out", str(tmp_path / "out")]
+             + (["--hidden", *flag] if flag else []))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    value = flag[0] if flag else ","
+    assert f"not comma-separated integers: {value!r}" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -1068,10 +1101,10 @@ def every_session_tables(every_session_cohort):
     """Each chambers source's table over every session of the cohort."""
     sessions = load_sessions(sorted(str(p) for p in
                                     every_session_cohort.glob("*.wscat")))
-    bank_cfg = BankConfig()
-    return sessions, [cwt_table(sessions, Channel.HIP, 1.0, 1.0, bank_cfg),
-                      cwt_table(sessions, Channel.NAC, 1.0, 1.0, bank_cfg),
-                      wcoh_table(sessions, 1.0, 1.0, bank_cfg,
+    params = MorseParams()
+    return sessions, [cwt_table(sessions, Channel.HIP, 1.0, 1.0, params),
+                      cwt_table(sessions, Channel.NAC, 1.0, 1.0, params),
+                      wcoh_table(sessions, 1.0, 1.0, params,
                                  SmoothingSpec())]
 
 

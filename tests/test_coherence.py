@@ -65,7 +65,7 @@ def test_per_scale_widths_follow_center_frequency():
 def test_self_coherence_is_one():
     rng = np.random.default_rng(3)
     n = 1024
-    bank = build_filterbank(n, FS, MorseParams(), 6, 4.0, 100.0)
+    bank = build_filterbank(n, FS, MorseParams(voices_per_octave=6, fmin=4.0))
     cx = cwt(rng.standard_normal(n), bank)
     cmap = coherence(cx, cx, SmoothingSpec())
     defined = cmap.coherence > 0
@@ -118,7 +118,7 @@ def delayed_pair(seed, f0=8.0, n=4096, noise=0.05):
 
 def test_quarter_cycle_delay_phase():
     n = 4096
-    bank = build_filterbank(n, FS, MorseParams(), 10, 1.0, 100.0)
+    bank = build_filterbank(n, FS, MorseParams())
     for seed in range(3):
         x, y, delay = delayed_pair(seed)
         cmap = coherence(cwt(x, bank), cwt(y, bank), SmoothingSpec())
@@ -132,7 +132,7 @@ def test_quarter_cycle_delay_phase():
 
 def test_independent_noise_low_coherence():
     n = 1024
-    bank = build_filterbank(n, FS, MorseParams(), 6, 4.0, 100.0)
+    bank = build_filterbank(n, FS, MorseParams(voices_per_octave=6, fmin=4.0))
     spec = SmoothingSpec(c_t=1.1, c_s=0.83)
     values = []
     for seed in range(10):
@@ -163,7 +163,7 @@ def test_phase_overlay_thresholds():
 
 def test_quarter_cycle_overlay_phases_cluster():
     n = 4096
-    bank = build_filterbank(n, FS, MorseParams(), 10, 1.0, 100.0)
+    bank = build_filterbank(n, FS, MorseParams())
     x, y, _ = delayed_pair(0)
     cmap = coherence(cwt(x, bank), cwt(y, bank), SmoothingSpec())
     records = phase_overlay(cmap, 0.5)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from wavescat.cwt import cwt, next_pow2, scalogram_to_csv
+from wavescat.cwt import cwt, scalogram_to_csv
 from wavescat.errors import DataError
-from wavescat.morse import MorseParams, build_filterbank
+from wavescat.morse import MorseParams, build_filterbank, next_pow2
 
 from oracles import direct_cwt, direct_dft_wavelets
 
@@ -11,7 +11,8 @@ FS = 1000.0
 
 
 def small_bank(n=256, voices=4, fmin=8.0, fmax=100.0):
-    return build_filterbank(n, FS, MorseParams(), voices, fmin, fmax)
+    return build_filterbank(n, FS, MorseParams(voices_per_octave=voices,
+                                               fmin=fmin, fmax=fmax))
 
 
 def test_zero_signal_gives_zero_coefficients():
@@ -22,7 +23,7 @@ def test_zero_signal_gives_zero_coefficients():
 
 def test_impulse_response_is_reversed_conjugate_wavelet():
     n = 512
-    bank = build_filterbank(n, FS, MorseParams(), 4, 8.0, 100.0)
+    bank = build_filterbank(n, FS, MorseParams(voices_per_octave=4, fmin=8.0))
     x = np.zeros(n)
     x[n // 2] = 1.0
     s = cwt(x, bank)
@@ -37,7 +38,7 @@ def test_impulse_response_is_reversed_conjugate_wavelet():
 
 @pytest.mark.parametrize("n", [256, 1024])
 def test_fft_path_matches_direct_quadrature(n):
-    bank = build_filterbank(n, FS, MorseParams(), 3, 4.0, 100.0)
+    bank = build_filterbank(n, FS, MorseParams(voices_per_octave=3, fmin=4.0))
     rng = np.random.default_rng(5)
     x = rng.standard_normal(n)
     s = cwt(x, bank)
@@ -50,7 +51,7 @@ def test_fft_path_matches_direct_quadrature(n):
 
 def test_sinusoid_ridge_location_and_height():
     n = 4096
-    bank = build_filterbank(n, FS, MorseParams(), 20, 1.0, 100.0)
+    bank = build_filterbank(n, FS, MorseParams(voices_per_octave=20))
     t = np.arange(n) / FS
     s = cwt(np.cos(2 * np.pi * 8.0 * t), bank)
     mag = np.abs(s.coefficients)
@@ -95,7 +96,7 @@ def test_magnitude_views():
 
 def test_impulse_row_l1_norm_matches_quadrature():
     n = 512
-    bank = build_filterbank(n, FS, MorseParams(), 4, 8.0, 100.0)
+    bank = build_filterbank(n, FS, MorseParams(voices_per_octave=4, fmin=8.0))
     x = np.zeros(n)
     x[n // 2] = 1.0
     mag = np.abs(cwt(x, bank).coefficients)
@@ -108,7 +109,7 @@ def test_impulse_row_l1_norm_matches_quadrature():
 
 def test_coi_shape_and_mask():
     n = 2048
-    bank = build_filterbank(n, FS, MorseParams(), 8, 2.0, 100.0)
+    bank = build_filterbank(n, FS, MorseParams(voices_per_octave=8, fmin=2.0))
     s = cwt(np.zeros(n), bank)
     # boundary frequency falls from the edges toward the interior
     # (+inf right at the edges, where nothing is reliable)
@@ -148,7 +149,8 @@ def test_length_and_rate_validation(single_chamber_session):
     with pytest.raises(DataError, match="exceeds bank length"):
         cwt(np.zeros(300), bank)
     with pytest.raises(DataError, match="rates differ"):
-        bad = build_filterbank(16384, 500.0, MorseParams(), 4, 8.0, 100.0)
+        bad = build_filterbank(16384, 500.0, MorseParams(voices_per_octave=4,
+                                                         fmin=8.0))
         cwt(single_chamber_session.hip, bad)
 
 

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavescat import forked, pipeline
+from wavescat import forked, morse, pipeline
 from wavescat.coherence import SmoothingSpec
 from wavescat.model import (CHANNELS, JOINT_GROUPS, JOINT_PHASES, Chamber,
                             Channel, Group, Phase, chamber_windows,
                             segment_by_chamber)
-from wavescat.pipeline import (BankConfig, cwt_table, scatter_table,
-                               wcoh_table)
+from wavescat.morse import MorseParams
+from wavescat.pipeline import cwt_table, scatter_table, wcoh_table
 from wavescat.scattering import ScatteringParams
 
 from conftest import assert_no_child_left, make_session
@@ -19,7 +19,7 @@ from oracles import (chamber_windows_by_start, cwt_rows_by_window,
                      wcoh_rows_by_window)
 
 # few voices keep each drawn example's transforms small
-BANK = BankConfig(voices_per_octave=3)
+BANK = MorseParams(voices_per_octave=3)
 
 
 def test_equal_length_sessions_share_one_filter_bank(monkeypatch):
@@ -28,21 +28,24 @@ def test_equal_length_sessions_share_one_filter_bank(monkeypatch):
                              rng.standard_normal(2000), fs=250.0,
                              rat=f"rat{i}") for i in range(3)]
     builds = []
-    original = pipeline.build_filterbank
+    original = morse.build_filterbank
 
     def counting_build(n, fs, *args):
         builds.append((n, fs))
         return original(n, fs, *args)
 
-    monkeypatch.setattr(pipeline, "build_filterbank", counting_build)
-    bank_cfg = BankConfig()
-    cwt_table(sessions, Channel.HIP, 1.0, 1.0, bank_cfg)
-    cwt_table(sessions, Channel.NAC, 1.0, 1.0, bank_cfg)
-    wcoh_table(sessions, 1.0, 1.0, bank_cfg, SmoothingSpec())
+    monkeypatch.setattr(morse, "build_filterbank", counting_build)
+    params = MorseParams()
+    cwt_table(sessions, Channel.HIP, 1.0, 1.0, params)
+    cwt_table(sessions, Channel.NAC, 1.0, 1.0, params)
+    wcoh_table(sessions, 1.0, 1.0, params, SmoothingSpec())
     assert builds == [(2048, 250.0)]
     # the cache key is the padded length, so any length up to 2048 hits it
-    assert bank_cfg.bank(1025, 250.0) is bank_cfg.bank(2048, 250.0)
+    bank = params.bank(1025, 250.0)
+    assert bank is params.bank(2048, 250.0)
     assert builds == [(2048, 250.0)]
+    assert bank.params is params and bank._efold_times is not None
+    assert params == MorseParams()      # the cache takes no part in ==
 
 
 @st.composite
@@ -121,12 +124,12 @@ def test_wcoh_table_peak_memory_is_bounded():
     rng = np.random.default_rng(8)
     session = make_session(rng.standard_normal(n), rng.standard_normal(n),
                            fs=fs, track=[(0.0, 0), (30.0, 2)])
-    bank_cfg = BankConfig()
-    bank = bank_cfg.bank(n, fs)           # built before tracing
+    params = MorseParams()
+    bank = params.bank(n, fs)             # built before tracing
     scalogram_bytes = bank.n_scales * n * np.dtype(np.complex128).itemsize
     tracemalloc.start()
     try:
-        wcoh_table([session], 1.0, 0.5, bank_cfg, SmoothingSpec())
+        wcoh_table([session], 1.0, 0.5, params, SmoothingSpec())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from wavescat.cwt import cwt, next_pow2
+from wavescat.cwt import cwt
 from wavescat.errors import DataError
 from wavescat.model import (JOINT_GROUPS, JOINT_PHASES, Chamber, Group,
                             Phase, load_session, segment_by_chamber)
-from wavescat.morse import MorseParams, build_filterbank
+from wavescat.morse import MorseParams
 from wavescat.synth import SynthSpec, generate_cohort, generate_session
 
 
@@ -81,8 +81,7 @@ def test_all_chambers_visited_across_cohort():
 
 
 def band_power(session, fmin, fmax, sample_mask=None):
-    bank = build_filterbank(next_pow2(session.hip.samples.size), session.fs,
-                            MorseParams(), 10, 1.0, 100.0)
+    bank = MorseParams().bank(session.hip.samples.size, session.fs)
     s = cwt(session.hip, bank)
     band = (s.scale_axis >= fmin) & (s.scale_axis <= fmax)
     mag = np.abs(s.coefficients[band])
@@ -134,7 +133,7 @@ def test_accuracy_monotone_in_delta():
     from wavescat.classify import (KFoldJob, confusion_stats, run_kfold,
                                    train_tree)
     from wavescat.model import Channel
-    from wavescat.pipeline import BankConfig, cwt_table, joint_dataset
+    from wavescat.pipeline import cwt_table, joint_dataset
 
     accuracies = []
     for delta in (0.0, 0.5, 1.0):
@@ -146,7 +145,7 @@ def test_accuracy_monotone_in_delta():
         # non-overlapping hop: with hop < window, neighboring windows
         # share samples and a memorizing model lifts above chance at
         # delta=0 through fold leakage
-        tables = [cwt_table(sessions, ch, 1.0, 1.0, BankConfig())
+        tables = [cwt_table(sessions, ch, 1.0, 1.0, MorseParams())
                   for ch in (Channel.HIP, Channel.NAC)]
         matrix = np.vstack([t.matrix for t in tables])
         segments = np.concatenate([t.segments for t in tables])

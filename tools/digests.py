@@ -87,6 +87,13 @@ RUNS = [
     # cone of influence, against about 1 % at the defaults, so this run
     # pins the whole-window fallback means and variances
     ("B", "features cwt --fmin 0.3"),
+    # every bank option away from its default
+    ("A", "features wcoh --voices 6 --gamma 2.5 --tb 30 --fmin 2 --fmax 80"),
+    ("A", "report --voices 4 --tb 20"),
+    # Morse shapes outside float64 are refused before any transform
+    # (exit 3): the peak frequency overflows, then the normalization
+    ("A", "features cwt --gamma 1e-5"),
+    ("A", "features cwt --tb 1e308"),
 ]
 
 TOKEN = "<RUN>"
