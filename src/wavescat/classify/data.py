@@ -1,4 +1,5 @@
-"""Tabular dataset container shared by all three classifiers."""
+"""Tabular dataset container shared by all three classifiers, and the
+one standardization rule of the SVM and the MLP."""
 
 from __future__ import annotations
 
@@ -46,8 +47,19 @@ class Dataset:
 
 
 def standardize_fit(features: np.ndarray):
-    """Column means and stds on training data; zero stds become one."""
+    """Column means and stds on training data. A std at or below
+    1e-12 x max(1, |mean|) becomes one, so a column that is constant up
+    to rounding standardizes to about zero and carries no weight."""
     mean = features.mean(axis=0)
     std = features.std(axis=0)
-    std = np.where(std > 0.0, std, 1.0)
+    std = np.where(std > 1e-12 * np.maximum(1.0, np.abs(mean)), std, 1.0)
     return mean, std
+
+
+def standardize(features, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """Rows of ``features`` under a ``standardize_fit`` mean and std."""
+    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    if features.shape[1] != mean.size:
+        raise DataError(f"expected {mean.size} features, "
+                        f"got {features.shape[1]}")
+    return (features - mean) / std

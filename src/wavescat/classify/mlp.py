@@ -8,12 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError, NumericalError
-from .data import Dataset, standardize_fit
+from .data import Dataset, standardize, standardize_fit
 
 
 @dataclass
 class MlpModel:
-    layer_sizes: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     mean: np.ndarray
@@ -77,7 +76,7 @@ def train_mlp(data: Dataset, hidden=(64,), epochs: int = 300,
     if data.n_classes < 2:
         raise DataError("need at least two classes")
     mean, std = standardize_fit(data.features)
-    x = (data.features - mean) / std
+    x = standardize(data.features, mean, std)
     y = data.labels
     sizes = [data.n_features, *hidden, data.n_classes]
     rng = np.random.default_rng(seed)
@@ -94,16 +93,12 @@ def train_mlp(data: Dataset, hidden=(64,), epochs: int = 300,
         for layer in range(len(weights)):
             weights[layer] -= learning_rate * gw[layer]
             biases[layer] -= learning_rate * gb[layer]
-    return MlpModel(sizes, weights, biases, mean, std)
+    return MlpModel(weights, biases, mean, std)
 
 
 def decision_values_mlp(model: MlpModel, features: np.ndarray) -> np.ndarray:
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if features.shape[1] != model.layer_sizes[0]:
-        raise DataError(f"expected {model.layer_sizes[0]} features, "
-                        f"got {features.shape[1]}")
     return _forward(model.weights, model.biases,
-                    (features - model.mean) / model.std)[1]
+                    standardize(features, model.mean, model.std))[1]
 
 
 def predict_mlp(model: MlpModel, features: np.ndarray) -> np.ndarray:

@@ -1,5 +1,8 @@
 """One-vs-all soft-margin linear SVM over standardized features.
 
+Every column is kept, under the rule the MLP shares (``standardize_fit``):
+a std at or below 1e-12 x max(1, |mean|) counts as one.
+
 Each class gets one hinge-loss, L2-regularized binary machine; the bias
 rides along as a regularized constant column. The per-sample penalty
 is class-balanced (C scaled by n / (2 * n_side)) so heavily uneven
@@ -23,21 +26,17 @@ import numpy as np
 
 from .. import _kernels
 from ..errors import DataError
-from .data import Dataset
+from .data import Dataset, standardize, standardize_fit
 
 
 @dataclass
 class OvaSvmModel:
-    weights: np.ndarray          # (n_classes, n_kept) over standardized cols
+    weights: np.ndarray          # (n_classes, n_features), standardized
     biases: np.ndarray           # (n_classes,)
     mean: np.ndarray
     std: np.ndarray
-    kept_columns: np.ndarray
-    dropped_columns: np.ndarray
     converged: np.ndarray        # bool per class
     gaps: np.ndarray
-    n_features: int
-    n_classes: int
 
 
 def train_svm_ova(data: Dataset, c: float = 1.0, tol: float = 1e-3,
@@ -51,12 +50,8 @@ def train_svm_ova(data: Dataset, c: float = 1.0, tol: float = 1e-3,
     if data.n_classes < 2:
         raise DataError("need at least two classes")
     present = np.bincount(data.labels, minlength=data.n_classes)
-    mean = data.features.mean(axis=0)
-    std = data.features.std(axis=0)
-    tiny = 1e-12 * np.maximum(1.0, np.abs(mean))
-    kept = np.nonzero(std > tiny)[0]
-    dropped = np.nonzero(std <= tiny)[0]
-    x = (data.features[:, kept] - mean[kept]) / std[kept]
+    mean, std = standardize_fit(data.features)
+    x = standardize(data.features, mean, std)
     aug = np.hstack([x, np.ones((x.shape[0], 1))])
     n = aug.shape[0]
 
@@ -67,18 +62,12 @@ def train_svm_ova(data: Dataset, c: float = 1.0, tol: float = 1e-3,
     # a machine whose class is absent or is every sample gets plain C
     C = np.where((n_pos == 0) | (n_pos == n), c, c * n / (2.0 * n_side))
     W, _, gaps, _ = _kernels.svm_dual_solve(aug, Y, C, tol, max_iter)
-    return OvaSvmModel(W[:, :-1].copy(), W[:, -1].copy(), mean, std, kept,
-                       dropped, gaps <= tol, gaps, data.n_features,
-                       data.n_classes)
+    return OvaSvmModel(W[:, :-1].copy(), W[:, -1].copy(), mean, std,
+                       gaps <= tol, gaps)
 
 
 def decision_values_svm(model: OvaSvmModel, features: np.ndarray) -> np.ndarray:
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if features.shape[1] != model.n_features:
-        raise DataError(f"expected {model.n_features} features, "
-                        f"got {features.shape[1]}")
-    kept = model.kept_columns
-    x = (features[:, kept] - model.mean[kept]) / model.std[kept]
+    x = standardize(features, model.mean, model.std)
     return x @ model.weights.T + model.biases
 
 

@@ -65,6 +65,10 @@ class ScatteringParams:
             raise DataError("need Q1 >= Q2 >= 1")
         if not self.gamma > 0:
             raise DataError("gamma must be positive")
+        if not self.fmax > self.band_min:
+            raise DataError(f"--fmax {self.fmax:g} must exceed 1/T = "
+                            f"{self.band_min:g} Hz, the scattering band's "
+                            f"lower edge (--t {self.t:g})")
 
     @property
     def band_min(self) -> float:

@@ -193,6 +193,19 @@ def test_a_scattering_gamma_of_zero_exits_3_with_one_line(
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [["joint", "--seed", "1"],
+                                  ["features", "scatter", "--fmin", "1"]])
+def test_a_scattering_band_below_one_over_t_exits_3_naming_fmax_and_t(
+        tmp_path, small_cohort, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--data", str(small_cohort), "--out", str(out),
+                 "--fmax", "1.5"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["data error: --fmax 1.5 must exceed 1/T = 2 Hz, the "
+                   "scattering band's lower edge (--t 0.5)"]
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_joint_stats_from_counts_reproduces_published_macro(tmp_path,
                                                             capsys):
     counts_csv = tmp_path / "counts.csv"

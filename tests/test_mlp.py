@@ -22,8 +22,7 @@ def test_converges_on_separable_pair():
 
 
 def test_zero_weights_give_uniform_softmax_and_class_zero():
-    model = MlpModel([1, 4, 2],
-                     [np.zeros((1, 4)), np.zeros((4, 2))],
+    model = MlpModel([np.zeros((1, 4)), np.zeros((4, 2))],
                      [np.zeros(4), np.zeros(2)],
                      mean=np.zeros(1), std=np.ones(1))
     probs = decision_values_mlp(model, [[0.3]])

@@ -294,6 +294,11 @@ def test_params_validation():
     for gamma in (0.0, -3.0, np.nan):
         with pytest.raises(DataError, match="gamma must be positive"):
             ScatteringParams(gamma=gamma)
+    # the band runs from 1/T up, so fmax must clear 1/T, not fmin
+    for t, fmax in ((0.5, 1.5), (0.5, 2.0), (0.25, 4.0), (0.5, np.nan)):
+        with pytest.raises(DataError, match=r"--fmax .* must exceed 1/T"):
+            ScatteringParams(t=t, fmax=fmax)
+    assert ScatteringParams(t=0.25, fmax=4.5).band_min == pytest.approx(4.0)
 
 
 def test_band_defaults_follow_invariance_scale():

@@ -5,6 +5,7 @@ import pytest
 
 from wavescat.classify import (Dataset, decision_values_svm, predict_svm,
                                train_svm_ova)
+from wavescat.classify.data import standardize, standardize_fit
 from wavescat.classify.svm import OvaSvmModel
 from wavescat.errors import DataError
 
@@ -83,22 +84,34 @@ def test_twelve_class_dataset_gets_twelve_machines():
 def test_tie_break_lowest_class_id():
     model = OvaSvmModel(weights=np.zeros((3, 2)), biases=np.zeros(3),
                         mean=np.zeros(2), std=np.ones(2),
-                        kept_columns=np.array([0, 1]),
-                        dropped_columns=np.array([], dtype=int),
-                        converged=np.ones(3, dtype=bool), gaps=np.zeros(3),
-                        n_features=2, n_classes=3)
+                        converged=np.ones(3, dtype=bool), gaps=np.zeros(3))
     assert predict_svm(model, [[1.0, -1.0]])[0] == 0
 
 
-def test_constant_columns_dropped_and_recorded():
+def test_standardize_fit_gives_a_column_constant_up_to_rounding_unit_std():
+    rng = np.random.default_rng(5)
+    x = np.column_stack([rng.standard_normal(50),
+                         7.7 + 1e-15 * rng.standard_normal(50),
+                         np.full(50, -3.0)])
+    mean, std = standardize_fit(x)
+    assert std[0] == pytest.approx(x[:, 0].std())
+    assert std[1] == 1.0 and std[2] == 1.0
+    z = standardize(x, mean, std)
+    assert np.abs(z[:, 1:]).max() < 1e-13
+    with pytest.raises(DataError, match="expected 3 features, got 2"):
+        standardize(x[:, :2], mean, std)
+
+
+def test_constant_columns_kept_with_no_weight():
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((40, 3))
+    x = rng.standard_normal((40, 4))
     x[:, 1] = 7.7
+    x[:, 3] = 7.7 + 1e-15 * rng.standard_normal(40)
     labels = (x[:, 0] > 0).astype(int)
     data = Dataset(x, labels, ["a", "b"])
     model = train_svm_ova(data, c=1.0, tol=1e-6, max_iter=2000)
-    assert model.dropped_columns.tolist() == [1]
-    assert model.kept_columns.tolist() == [0, 2]
+    assert model.weights.shape == (2, 4)
+    assert np.abs(model.weights[:, [1, 3]]).max() < 1e-9
     assert (predict_svm(model, x) == labels).mean() > 0.9
 
 

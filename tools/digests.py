@@ -94,6 +94,10 @@ RUNS = [
     # (exit 3): the peak frequency overflows, then the normalization
     ("A", "features cwt --gamma 1e-5"),
     ("A", "features cwt --tb 1e308"),
+    # a scattering band that ends at or below its lower edge 1/T (2 Hz
+    # at the default --t 0.5) is refused before any transform (exit 3)
+    ("A", "joint --seed 1 --fmax 1.5"),
+    ("A", "features scatter --fmax 1.5"),
 ]
 
 TOKEN = "<RUN>"
