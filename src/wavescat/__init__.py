@@ -2,7 +2,8 @@
 for two-channel LFP recordings, with a synthetic cohort generator and a
 batch CLI."""
 
-from .coherence import CoherenceMap, SmoothingSpec, coherence, phase_overlay
+from .coherence import (CoherenceMap, SmoothingSpec, coherence,
+                        coherence_map, phase_overlay)
 from .cwt import Scalogram, cwt
 from .errors import BundleFormatError, DataError, NumericalError
 from .model import (Chamber, Channel, Group, Phase, RecordingSession,
@@ -26,7 +27,8 @@ __all__ = [
     "FilterBank", "MorseParams", "build_filterbank", "morse_hat",
     "peak_frequency",
     "Scalogram", "cwt",
-    "CoherenceMap", "SmoothingSpec", "coherence", "phase_overlay",
+    "CoherenceMap", "SmoothingSpec", "coherence", "coherence_map",
+    "phase_overlay",
     "ScatteringParams", "feature_matrix",
     "SynthSpec", "generate_cohort", "generate_session",
 ]

@@ -35,23 +35,61 @@ def boxcar_time(mat, widths):
     return out
 
 
-def boxcar_scale(mat, width):
-    """Truncated moving average across rows, edge-renormalized."""
+def boxcar_scale(blocks, n_rows, width):
+    """Truncated moving average across rows, edge-renormalized, of
+    matrices of ``n_rows`` rows that arrive a block of rows at a time.
+
+    ``blocks`` yields, in row order, tuples of row blocks of equal row
+    counts, one per matrix. Output row j is
+    (csum[b] - csum[a]) / (b - a), with a = max(0, j - lo) and
+    b = min(n_rows, j + hi + 1) for lo = (width - 1) // 2 and
+    hi = width // 2, where csum[k] sums input rows 0..k-1 one row after
+    another, as ``np.cumsum(axis=0)`` does, so every row equals the
+    whole-matrix kernel's bit for bit. Only a ring of the last
+    width + 1 cumulative rows per matrix is kept. Yields
+    (first row, tuple of output blocks) as soon as rows are finished;
+    if ``blocks`` stops early, the rows it leaves unfinished are not
+    yielded.
+    """
     w = int(width)
     if w <= 1:
-        return mat.copy()
-    m = mat.shape[0]
-    lo = (w - 1) // 2
-    hi = w // 2
-    csum = np.empty((m + 1,) + mat.shape[1:], mat.dtype)
-    csum[0] = 0
-    np.cumsum(mat, axis=0, out=csum[1:])
-    out = np.empty_like(mat)
-    for j in range(m):
-        a = max(0, j - lo)
-        b = min(m, j + hi + 1)
-        out[j] = (csum[b] - csum[a]) / (b - a)
-    return out
+        start = 0
+        for block in blocks:
+            yield start, block
+            start += len(block[0])
+        return
+    lo, hi = (w - 1) // 2, w // 2
+    size = min(w, n_rows) + 1
+    rings = None
+    seen = done = 0                 # rows summed; rows finished
+    for block in blocks:
+        if rings is None:
+            rings = [np.zeros((size,) + mat.shape[1:], mat.dtype)
+                     for mat in block]
+        count = len(block[0])
+        # row j is finished once csum[min(n_rows, j + hi + 1)] exists
+        stop = (n_rows if seen + count == n_rows
+                else max(done, seen + count - hi))
+        outs = [np.empty((stop - done,) + ring.shape[1:], ring.dtype)
+                for ring in rings]
+        first = done
+        for i in range(count):
+            for ring, mat in zip(rings, block):
+                if seen:
+                    np.add(ring[seen % size], mat[i],
+                           out=ring[(seen + 1) % size])
+                else:
+                    ring[1] = mat[i]
+            seen += 1
+            # each row as soon as it is finished, before the ring wraps
+            while done < stop and (seen == n_rows or done + hi < seen):
+                a, b = max(0, done - lo), min(n_rows, done + hi + 1)
+                for out, ring in zip(outs, rings):
+                    out[done - first] = ((ring[b % size] - ring[a % size])
+                                         / (b - a))
+                done += 1
+        if stop > first:
+            yield first, tuple(outs)
 
 
 # bytes the split scan's two float64 (rows x columns x classes) class-count

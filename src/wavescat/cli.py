@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import glob
 import math
 import os
@@ -30,7 +31,7 @@ import numpy as np
 from .classify import (Dataset, KFoldJob, confusion_from_counts_csv,
                        confusion_stats, confusion_to_csv, run_kfold,
                        train_mlp, train_svm_ova, train_tree, tree_complexity)
-from .coherence import (SmoothingSpec, coherence, overlay_to_csv,
+from .coherence import (SmoothingSpec, coherence_map, overlay_to_csv,
                         phase_overlay)
 from .csvfile import write_csv
 from .cwt import cwt, scalogram_to_csv
@@ -49,6 +50,7 @@ _WINDOW = ("features", "chambers", "joint")
 _BANK = ("features", "chambers", "report")
 _MORSE = _BANK + ("joint",)
 _SCATTER = ("features", "joint")
+_TRANSFORM = ("cwt", "wcoh")      # the features kinds a filter bank serves
 
 
 class UsageError(Exception):
@@ -116,6 +118,7 @@ class Option:
     required: tuple = ()         # commands that need a value
     unless: dict | None = None   # command -> the option that lifts the need
     record: str = "always"       # in the config line: always | set | never
+    kinds: tuple = ()            # the features kinds that read it; () is all
 
     @property
     def flag(self) -> str:
@@ -146,20 +149,27 @@ OPTIONS = {o.name: o for o in (
     Option("rats_saline", int, 7, "saline cohort size", ("synth",)),
     Option("rats_morphine", int, 6, "morphine cohort size", ("synth",)),
     Option("rats_food", int, 6, "food cohort size", ("synth",)),
-    Option("channel", str, "hip", "channel for kind=cwt", ("features",),
-           choices=("hip", "nac")),
+    Option("channel", str, "hip", "channel to transform", ("features",),
+           choices=("hip", "nac"), kinds=("cwt",)),
     Option("window", _finite, 1.0, "segment length, s", _WINDOW),
     Option("hop", _finite, 0.5, "segment hop, s", _WINDOW),
-    Option("fmin", _finite, 1.0, "lowest center frequency, Hz", _BANK),
+    Option("fmin", _finite, 1.0, "lowest center frequency, Hz", _BANK,
+           kinds=_TRANSFORM),
     Option("fmax", _finite, 100.0, "highest center frequency, Hz", _MORSE),
-    Option("voices", int, 10, "voices per octave", _BANK),
+    Option("voices", int, 10, "voices per octave", _BANK, kinds=_TRANSFORM),
     Option("gamma", _finite, 3.0, "Morse symmetry", _MORSE),
-    Option("tb", _finite, 60.0, "Morse time-bandwidth product", _BANK),
-    Option("c_t", _finite, 2.0, "time smoothing, cycles", _BANK),
-    Option("c_s", _finite, 0.6, "scale smoothing, octaves", _BANK),
-    Option("t", _finite, 0.5, "scattering invariance, s", _SCATTER),
-    Option("q1", int, 8, "layer-1 voices per octave", _SCATTER),
-    Option("q2", int, 1, "layer-2 voices per octave", _SCATTER),
+    Option("tb", _finite, 60.0, "Morse time-bandwidth product", _BANK,
+           kinds=_TRANSFORM),
+    Option("c_t", _finite, 2.0, "time smoothing, cycles", _BANK,
+           kinds=("wcoh",)),
+    Option("c_s", _finite, 0.6, "scale smoothing, octaves", _BANK,
+           kinds=("wcoh",)),
+    Option("t", _finite, 0.5, "scattering invariance, s", _SCATTER,
+           kinds=("scatter",)),
+    Option("q1", int, 8, "layer-1 voices per octave", _SCATTER,
+           kinds=("scatter",)),
+    Option("q2", int, 1, "layer-2 voices per octave", _SCATTER,
+           kinds=("scatter",)),
     Option("model", str, "dt", "classifier", ("chambers",),
            choices=("dt", "mlp")),
     Option("source", str, "all", "feature source", ("chambers",),
@@ -215,7 +225,13 @@ class Config:
                 raise UsageError(f"{where}: {key}={text}: not one of "
                                  f"{', '.join(choices)}")
             self.file_values[key] = value
+        kind = getattr(args, "kind", None)
         for opt in OPTIONS.values():
+            # a file may set a key for another kind; a flag may not
+            if (kind and opt.kinds and kind not in opt.kinds
+                    and getattr(args, opt.name) is not None):
+                raise UsageError(f"{opt.flag} does not apply to "
+                                 f"features {kind}")
             if (self.command in opt.required
                     and getattr(args, opt.name) is None
                     and opt.name not in self.file_values):
@@ -474,6 +490,17 @@ def cmd_joint(cfg: Config):
     return 0
 
 
+def _keeping_magnitudes(scal, mag):
+    """``scal``, whose rows, each time they are formed, leave their
+    magnitudes in the rows of ``mag``."""
+    def rows(a, b):
+        block = scal.rows(a, b)
+        mag[a:b] = np.abs(block)
+        return block
+
+    return dataclasses.replace(scal, rows=rows)
+
+
 def cmd_report(cfg: Config):
     smoothing, threshold = _smoothing(cfg), cfg.get("threshold")
     sessions = load_sessions(_bundle_paths(cfg.get("data")))
@@ -488,15 +515,19 @@ def cmd_report(cfg: Config):
     bank = _bank_config(cfg).bank(session.hip.samples.size, session.fs)
     out_dir = cfg.get("out")
     os.makedirs(out_dir, exist_ok=True)
-    hip, nac = cwt(session.hip, bank), cwt(session.nac, bank)
-    cmap = coherence(hip, nac, smoothing)
-    mag_hip, mag_nac = np.abs(hip.coefficients), np.abs(nac.coefficients)
-    del hip, nac    # freed before the CSV writers fork their children
+    # the magnitudes are kept from the blocks the coherence forms, so no
+    # complex scalogram is ever held whole
+    shape = (bank.n_scales, session.hip.samples.size)
+    mag_hip, mag_nac = np.empty(shape), np.empty(shape)
+    hip = _keeping_magnitudes(cwt(session.hip, bank), mag_hip)
+    nac = _keeping_magnitudes(cwt(session.nac, bank), mag_nac)
+    cmap = coherence_map(hip, nac, smoothing)
     images = [("hip_scalogram", mag_hip, to_gray(mag_hip)),
               ("nac_scalogram", mag_nac, to_gray(mag_nac)),
               ("wcoh", cmap.coherence, to_gray(cmap.coherence, 0.0, 1.0))]
-    phase_mat = np.where(np.isfinite(cmap.phase), cmap.phase, 0.0)
     records = phase_overlay(cmap, threshold)
+    phase_mat = cmap.phase
+    phase_mat[~np.isfinite(phase_mat)] = 0.0
 
     line = cfg.line()
     stem = f"{session.rat_id}_{session.phase.value}"
@@ -530,6 +561,8 @@ COMMANDS = {
 
 def _help(opt: Option, command: str) -> str:
     text = opt.help
+    if command == "features" and opt.kinds:
+        text += f" (kind {'|'.join(opt.kinds)})"
     if opt.default is not None:
         text += f" [{opt.default}]"
     if command in opt.required:

@@ -9,6 +9,13 @@ scales. Coherence is the normalized ratio
 which lies in [0, 1] for any shared nonnegative kernel. The phase map
 reports the lag of the second signal behind the first, so a copy of x
 delayed by a quarter period shows +pi/2 at that frequency.
+
+``coherence`` streams: it forms both scalograms a block of scale rows at
+a time, smooths each block along time, and carries the scale boxcar's
+running sum across blocks, so only a few blocks of rows are alive at
+once. The one global step, the denominator floor
+``EPS_DEN_REL * max(den)``, is applied once the maximum is known, by
+forming again the few rows it changes.
 """
 
 from __future__ import annotations
@@ -70,12 +77,6 @@ def _voices_per_octave(scale_axis) -> int:
     return max(1, int(round(1.0 / step)))
 
 
-def smooth(mat: np.ndarray, time_widths, scale_width: int) -> np.ndarray:
-    """Apply the time boxcar then the scale boxcar."""
-    out = _kernels.boxcar_time(mat, time_widths)
-    return _kernels.boxcar_scale(out, scale_width)
-
-
 def _conj_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # conj(a) * b from explicit parts: hardware-FMA complex multiplies
     # round asymmetrically, which would break the exact-swap symmetry
@@ -84,11 +85,77 @@ def _conj_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
-def coherence(cx: Scalogram, cy: Scalogram, spec: SmoothingSpec) -> CoherenceMap:
-    """Smoothed coherence and phase of two scalograms on the same axes.
-    The time boxcar, round(c_t * fs / f) samples at center frequency f,
-    wraps around the signal's period, so it may be wider than the signal."""
-    if cx.coefficients.shape != cy.coefficients.shape:
+def _time_smoothed(cx, cy, time_widths, stop):
+    """The time-smoothed conj(Cx)*Cy, |Cx|^2 and |Cy|^2 of each block of
+    scale rows that starts below ``stop``."""
+    for a, b in cx.blocks:
+        if a >= stop:
+            return
+        x, y = cx.rows(a, b), cy.rows(a, b)
+        widths = time_widths[a:b]
+        yield (_kernels.boxcar_time(_conj_product(x, y), widths),
+               _kernels.boxcar_time(np.abs(x) ** 2, widths),
+               _kernels.boxcar_time(np.abs(y) ** 2, widths))
+
+
+def _finished(cx, cy, tw, sw, floor, stop):
+    """(first row, den, coherence, phase) of each block of rows below
+    ``stop``, with cells whose den lies under ``floor`` undefined."""
+    n_rows = cx.scale_axis.size
+    # the scale boxcar needs hi = sw // 2 rows beyond the last one wanted
+    smoothed = _time_smoothed(cx, cy, tw, min(n_rows, stop + sw // 2))
+    for start, (sxy, sxx, syy) in _kernels.boxcar_scale(smoothed, n_rows,
+                                                        sw):
+        if start >= stop:
+            return
+        den = sxx * syy
+        ok = den >= floor
+        coh = np.zeros_like(den)
+        np.divide(np.abs(sxy) ** 2, den, out=coh, where=ok)
+        np.minimum(coh, 1.0, out=coh)  # Cauchy-Schwarz holds; trim roundoff
+        phase = np.full(den.shape, np.nan)
+        phase[ok] = -np.angle(sxy[ok])
+        # map -pi to +pi so the range is (-pi, pi]
+        phase[phase <= -np.pi] = np.pi
+        yield start, den, coh, phase
+
+
+def _stream(cx, cy, tw, sw):
+    tiny = np.finfo(np.float64).tiny
+    lows, tops = [], []
+    for start, den, coh, phase in _finished(cx, cy, tw, sw, tiny,
+                                            cx.scale_axis.size):
+        lows.append(den.min(axis=1, initial=np.inf))
+        tops.append(den.max(initial=-np.inf))
+        yield start, coh, phase
+    eps = EPS_DEN_REL * float(np.max(tops)) if cx.time_axis.size else 0.0
+    floor = max(eps, tiny)
+    if floor == tiny:
+        return
+    # rows with a den under the final floor are formed again under it
+    redo = np.flatnonzero(~(np.concatenate(lows) >= floor))
+    if not redo.size:
+        return
+    for start, den, coh, phase in _finished(cx, cy, tw, sw, floor,
+                                            int(redo[-1]) + 1):
+        if np.any((redo >= start) & (redo < start + len(den))):
+            yield start, coh, phase
+
+
+def coherence(cx: Scalogram, cy: Scalogram, spec: SmoothingSpec):
+    """Smoothed coherence and phase of two scalograms on the same axes,
+    as an iterator of (first scale row, coherence rows, phase rows)
+    blocks in row order. A cell whose smoothed denominator lies under
+    ``EPS_DEN_REL`` times the largest one (or the smallest normal
+    float) has coherence 0 and phase NaN. That largest value is known
+    only at the end, so the blocks holding rows that the final floor
+    changes come once more, formed again under it, after the last row:
+    a later block supersedes an earlier one. The time boxcar,
+    round(c_t * fs / f) samples at center frequency f, wraps around the
+    signal's period, so it may be wider than the signal. The arguments
+    are checked before this returns."""
+    if ((cx.scale_axis.size, cx.time_axis.size)
+            != (cy.scale_axis.size, cy.time_axis.size)):
         raise DataError("scalogram shapes differ")
     if not np.array_equal(cx.scale_axis, cy.scale_axis) or cx.fs != cy.fs:
         raise DataError("scalogram axes differ")
@@ -97,19 +164,19 @@ def coherence(cx: Scalogram, cy: Scalogram, spec: SmoothingSpec) -> CoherenceMap
     if int(tw.max()) <= 1 and sw <= 1:
         raise DataError("identity smoothing makes coherence trivially 1; "
                         "widen the time or scale kernel")
-    sxy = smooth(_conj_product(cx.coefficients, cy.coefficients), tw, sw)
-    sxx = smooth(np.abs(cx.coefficients) ** 2, tw, sw)
-    syy = smooth(np.abs(cy.coefficients) ** 2, tw, sw)
-    den = sxx * syy
-    eps = EPS_DEN_REL * float(den.max()) if den.size else 0.0
-    ok = den >= max(eps, np.finfo(np.float64).tiny)
-    coh = np.zeros_like(den)
-    np.divide(np.abs(sxy) ** 2, den, out=coh, where=ok)
-    np.minimum(coh, 1.0, out=coh)  # Cauchy-Schwarz holds; trim roundoff
-    phase = np.full(den.shape, np.nan)
-    phase[ok] = -np.angle(sxy[ok])
-    # map -pi to +pi so the range is (-pi, pi]
-    phase[phase <= -np.pi] = np.pi
+    return _stream(cx, cy, tw, sw)
+
+
+def coherence_map(cx: Scalogram, cy: Scalogram,
+                  spec: SmoothingSpec) -> CoherenceMap:
+    """The whole coherence and phase matrices, filled from
+    ``coherence``'s blocks."""
+    blocks = coherence(cx, cy, spec)
+    shape = (cx.scale_axis.size, cx.time_axis.size)
+    coh, phase = np.empty(shape), np.empty(shape)
+    for start, c, p in blocks:
+        coh[start:start + len(c)] = c
+        phase[start:start + len(p)] = p
     return CoherenceMap(
         coherence=coh,
         phase=phase,

@@ -5,13 +5,17 @@ correlation of the signal with the conjugate dilated analytic wavelet.
 Boundary handling is the DFT's periodic extension plus a cone of
 influence derived from each voice's envelope e-folding time. Signals
 shorter than the bank length are zero-padded internally and the output
-is truncated back, so the pad never appears in the scalogram; the
-coefficients are then a compact copy, so the padded transform is freed.
+is truncated back, so the pad never appears in the scalogram. ``cwt``
+takes the signal's ``fft`` once; the rows are then formed one block of
+the bank's ``row_blocks`` at a time, each a compact copy, so no whole
+scalogram or padded transform need be held.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,24 +27,34 @@ from .morse import FilterBank
 
 @dataclass
 class Scalogram:
-    """Complex CWT coefficients (scales x time) with COI metadata.
+    """Complex CWT coefficients (scales x time), formed on demand, with
+    COI metadata.
 
-    ``coi`` holds, per time sample, the lowest center frequency whose
-    e-folding time fits inside the distance to the nearer signal edge
-    (+inf where no voice is trustworthy). A cell (j, t) is reliable iff
-    ``scale_axis[j] >= coi[t]``; the boundary therefore peaks at the
-    edges and falls toward the interior.
+    ``rows(a, b)`` returns scale rows a..b-1 of the coefficients, and
+    ``blocks`` lists the (start, stop) row ranges that a consumer forms
+    one at a time. ``coi`` holds, per time sample, the lowest center
+    frequency whose e-folding time fits inside the distance to the
+    nearer signal edge (+inf where no voice is trustworthy). A cell
+    (j, t) is reliable iff ``scale_axis[j] >= coi[t]``; the boundary
+    therefore peaks at the edges and falls toward the interior.
     """
 
-    coefficients: np.ndarray
+    rows: Callable[[int, int], np.ndarray]
     scale_axis: np.ndarray
     time_axis: np.ndarray
     fs: float
     coi: np.ndarray
+    blocks: list[tuple[int, int]]
 
-    def valid_mask(self) -> np.ndarray:
-        """Boolean (scales x time) mask of COI-reliable cells."""
-        return self.scale_axis[:, None] >= self.coi[None, :]
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Every row at once, a new array on each access."""
+        return self.rows(0, self.scale_axis.size)
+
+    def valid_mask(self, rows=slice(None)) -> np.ndarray:
+        """Boolean (scales x time) mask of COI-reliable cells, of the
+        scale rows ``rows`` (all by default)."""
+        return self.scale_axis[rows, None] >= self.coi[None, :]
 
 
 def _coi_curve(bank: FilterBank, n_sig: int) -> np.ndarray:
@@ -61,8 +75,16 @@ def _coi_curve(bank: FilterBank, n_sig: int) -> np.ndarray:
     return coi
 
 
+def _transform_rows(spectrum, filters, n_sig, a, b):
+    coeff = np.fft.ifft(spectrum[None, :] * filters[a:b], axis=1)
+    if n_sig < filters.shape[1]:
+        coeff = coeff[:, :n_sig].copy()   # frees the padded block
+    return coeff
+
+
 def cwt(x: TimeSeries | np.ndarray, bank: FilterBank) -> Scalogram:
-    """Transform ``x`` against every voice of ``bank``."""
+    """Transform ``x`` against every voice of ``bank``: its spectrum now,
+    its rows as they are asked for."""
     if isinstance(x, TimeSeries):
         if x.fs != bank.fs:
             raise DataError("signal and bank sampling rates differ")
@@ -81,16 +103,14 @@ def cwt(x: TimeSeries | np.ndarray, bank: FilterBank) -> Scalogram:
         padded[:n_sig] = data
     else:
         padded = data
-    spectrum = np.fft.fft(padded)
-    coeff = np.fft.ifft(spectrum[None, :] * bank.filters, axis=1)
-    if n_sig < bank.n:
-        coeff = coeff[:, :n_sig].copy()   # frees the padded transform
     return Scalogram(
-        coefficients=coeff,
+        rows=partial(_transform_rows, np.fft.fft(padded), bank.filters,
+                     n_sig),
         scale_axis=bank.center_frequencies.copy(),
         time_axis=np.arange(n_sig) / bank.fs,
         fs=bank.fs,
         coi=_coi_curve(bank, n_sig),
+        blocks=bank.row_blocks(),
     )
 
 

@@ -27,6 +27,11 @@ import numpy as np
 from .errors import DataError
 
 
+# bytes one block of complex (scale rows x padded length) transform rows
+# may take; the CWT, coherence and e-fold times run a block at a time
+SCALE_BLOCK_BYTES = 2 << 20
+
+
 def next_pow2(n: int) -> int:
     """Smallest power of two >= n, for n >= 1."""
     return 1 << (n - 1).bit_length()
@@ -125,19 +130,31 @@ class FilterBank:
     def n_scales(self) -> int:
         return self.filters.shape[0]
 
+    def row_blocks(self) -> list[tuple[int, int]]:
+        """Consecutive (start, stop) ranges of voices, as many a block as
+        fit their complex rows at the padded length into
+        ``SCALE_BLOCK_BYTES``, and at least one."""
+        step = max(1, SCALE_BLOCK_BYTES // (16 * self.n))
+        return [(a, min(a + step, self.n_scales))
+                for a in range(0, self.n_scales, step)]
+
     def efold_times(self) -> np.ndarray:
         """Envelope e-folding time per voice, in seconds.
 
         Found numerically: each filter row is brought to the time domain
         and the envelope is scanned forward from its lag-0 peak until it
-        first drops below peak/e; a row that never does reads n//2.
+        first drops below peak/e; a row that never does reads n//2. The
+        rows go to the time domain one block of ``row_blocks`` at a time.
         """
         if self._efold_times is None:
-            env = np.abs(np.fft.ifft(self.filters, axis=1))
             half = self.n // 2
-            below = env[:, :self.n - half] < env[:, :1] / np.e
-            self._efold_times = np.where(
-                below.any(axis=1), below.argmax(axis=1), half) / self.fs
+            steps = np.empty(self.n_scales, np.int64)
+            for a, b in self.row_blocks():
+                env = np.abs(np.fft.ifft(self.filters[a:b], axis=1))
+                below = env[:, :self.n - half] < env[:, :1] / np.e
+                steps[a:b] = np.where(below.any(axis=1), below.argmax(axis=1),
+                                      half)
+            self._efold_times = steps / self.fs
         return self._efold_times
 
 

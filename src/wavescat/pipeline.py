@@ -2,18 +2,18 @@
 
 CWT and coherence features come from *session-level* transforms, one
 pass per session against the bank that ``MorseParams.bank`` shares
-among sessions of one padded length: each channel is transformed once
-into a compact scalogram (``cwt`` frees the padded transform), the kept
+among sessions of one padded length. The transforms stream a block of
+scale rows at a time (``FilterBank.row_blocks``): each block's kept
 windows on the hop grid, and only those, are summarized per scale at
-once, and the session's scalogram-sized arrays are freed once its rows
-exist. The one COI rule, ``_coi_mean``, averages a window's cells inside
-the cone of influence (Torrence & Compo 1998) or, for a scale with none,
-the whole window, so every window yields a complete row (the
-contamination is identical across equal-length sessions and adds no
-label information). It finds those fallback cells once, and the CWT
-variance reads the same whole windows. In the wcoh table, a scale with
-no sample of a window inside the cone (or none with a defined phase)
-reads phase 0 for that window.
+once, so a session never holds a whole scalogram or coherence map,
+only its (rows x windows) sums. The one COI rule, ``_coi_mean``,
+averages a window's cells inside the cone of influence (Torrence &
+Compo 1998) or, for a scale with none, the whole window, so every
+window yields a complete row (the contamination is identical across
+equal-length sessions and adds no label information). It finds those
+fallback cells once, and the CWT variance reads the same whole
+windows. In the wcoh table, a scale with no sample of a window inside
+the cone (or none with a defined phase) reads phase 0 for that window.
 Scattering features are computed per window, each a view of the
 session's channel that ``scattering.feature_matrix`` reads uncopied.
 
@@ -99,24 +99,33 @@ def _coi_mean(mat, valid, grid):
 
 def _cwt_rows(channel, session, bank, grid):
     scal = cwt(session.channel(channel), bank)
-    mag, valid = np.abs(scal.coefficients), scal.valid_mask()
-    del scal                      # the complex coefficients, freed early
-    mean, counts, empty, whole = _coi_mean(mag, valid, grid)
-    sq = _window_sums(np.where(valid, mag ** 2, 0.0), grid)
-    var = sq / np.maximum(counts, 1) - mean ** 2
-    var[empty] = whole.var(axis=1)
-    return np.concatenate([mean, np.maximum(var, 0.0)])
+    m = bank.n_scales
+    rows = np.empty((2 * m, grid[2].size))
+    for a, b in scal.blocks:
+        mag, valid = np.abs(scal.rows(a, b)), scal.valid_mask(slice(a, b))
+        mean, counts, empty, whole = _coi_mean(mag, valid, grid)
+        sq = _window_sums(np.where(valid, mag ** 2, 0.0), grid)
+        var = sq / np.maximum(counts, 1) - mean ** 2
+        var[empty] = whole.var(axis=1)
+        rows[a:b], rows[m + a:m + b] = mean, np.maximum(var, 0.0)
+    return rows
 
 
 def _wcoh_rows(smoothing, session, bank, grid):
-    cmap = coherence(cwt(session.hip, bank), cwt(session.nac, bank),
-                     smoothing)
-    valid = cmap.valid_mask() & np.isfinite(cmap.phase)
-    coh_mean, counts, _, _ = _coi_mean(cmap.coherence, valid, grid)
-    sin = _window_sums(np.where(valid, np.sin(cmap.phase), 0.0), grid)
-    cos = _window_sums(np.where(valid, np.cos(cmap.phase), 0.0), grid)
-    phase_mean = np.where(counts > 0, np.arctan2(sin, cos), 0.0)
-    return np.concatenate([coh_mean, phase_mean])
+    hip, nac = cwt(session.hip, bank), cwt(session.nac, bank)
+    coi = np.maximum(hip.coi, nac.coi)
+    m = bank.n_scales
+    rows = np.empty((2 * m, grid[2].size))
+    # a block coherence forms again supersedes its first version
+    for a, coh, phase in coherence(hip, nac, smoothing):
+        b = a + len(coh)
+        valid = (hip.scale_axis[a:b, None] >= coi) & np.isfinite(phase)
+        coh_mean, counts, _, _ = _coi_mean(coh, valid, grid)
+        sin = _window_sums(np.where(valid, np.sin(phase), 0.0), grid)
+        cos = _window_sums(np.where(valid, np.cos(phase), 0.0), grid)
+        rows[a:b] = coh_mean
+        rows[m + a:m + b] = np.where(counts > 0, np.arctan2(sin, cos), 0.0)
+    return rows
 
 
 def _window_table(sessions, window_len, hop, params, session_rows, names,

@@ -11,19 +11,23 @@ are checked and a track held one record at a time, whole groups are
 dealt into folds by a name-to-fold map, stratified folds are dealt one
 item at a time, e-folding times are scanned one voice at a time, the
 SVM solver computes ``X @ w`` twice per epoch and the sigmoid splits
-its input by boolean masks. Three references are exceptions. The window
-reductions run the library's CWT and coherence, then test each hop-grid
-start and reduce each window on its own, one Python iteration per
-window. The scattering reference builds the library's filter banks,
-then transforms every layer at the full segment length. The layer
+its input by boolean masks. Four references are exceptions. The
+whole-matrix coherence forms every row of the streamed ``coherence`` at
+once, with the library's time boxcar and cross product. The window
+reductions run the library's CWT and that whole-matrix coherence, then
+test each hop-grid start and reduce each window on its own, one Python
+iteration per window. The scattering reference builds the library's
+filter banks, then transforms every layer at the full segment length. The layer
 energies read the scattering engine's own plan (its grids and cropped
 filters) and redo its layer transforms to sum each trajectory's energy.
 """
 
 import numpy as np
 
-from wavescat.coherence import coherence
-from wavescat.cwt import cwt
+from wavescat._kernels import boxcar_time
+from wavescat.coherence import (EPS_DEN_REL, CoherenceMap, _conj_product,
+                                _voices_per_octave)
+from wavescat.cwt import Scalogram, cwt
 from wavescat.errors import BundleFormatError, DataError
 from wavescat.model import Chamber
 from wavescat.morse import MorseParams, build_filterbank
@@ -134,6 +138,45 @@ def boxcar_scale_concatenated(mat, width):
         b = min(m, j + hi + 1)
         out[j] = (csum[b] - csum[a]) / (b - a)
     return out
+
+
+def whole_coherence(cx, cy, spec):
+    """Coherence and phase from whole matrices: both scalograms, the
+    three smoothed spectra and the floor EPS_DEN_REL * den.max() at once,
+    with the library's time boxcar and cross product and the
+    concatenating scale boxcar."""
+    a, b = cx.coefficients, cy.coefficients
+    tw, sw = spec.widths(cx.scale_axis, cx.fs,
+                         _voices_per_octave(cx.scale_axis))
+
+    def smooth(mat):
+        return boxcar_scale_concatenated(boxcar_time(mat, tw), sw)
+
+    sxy = smooth(_conj_product(a, b))
+    sxx = smooth(np.abs(a) ** 2)
+    syy = smooth(np.abs(b) ** 2)
+    den = sxx * syy
+    eps = EPS_DEN_REL * float(den.max()) if den.size else 0.0
+    ok = den >= max(eps, np.finfo(np.float64).tiny)
+    coh = np.zeros_like(den)
+    np.divide(np.abs(sxy) ** 2, den, out=coh, where=ok)
+    np.minimum(coh, 1.0, out=coh)
+    phase = np.full(den.shape, np.nan)
+    phase[ok] = -np.angle(sxy[ok])
+    phase[phase <= -np.pi] = np.pi
+    return CoherenceMap(coh, phase, cx.scale_axis.copy(),
+                        cx.time_axis.copy(), np.maximum(cx.coi, cy.coi))
+
+
+def held_scalogram(coeff, scale_axis, fs, coi=None, block=None):
+    """A scalogram whose rows are slices of the whole matrix ``coeff``,
+    formed ``block`` rows at a time (all at once by default)."""
+    m, n = coeff.shape
+    step = block or m
+    return Scalogram(lambda a, b: coeff[a:b], scale_axis,
+                     np.arange(n) / fs, fs,
+                     np.zeros(n) if coi is None else coi,
+                     [(a, min(a + step, m)) for a in range(0, m, step)])
 
 
 def phase_overlay_by_cell(cmap, threshold):
@@ -265,8 +308,8 @@ def wcoh_rows_by_window(session, window_len, hop, bank, smoothing):
     """One session's coherence feature rows, one window at a time, and
     the number of (scale, window) cells with no COI-reliable cell."""
     win, windows = chamber_windows_by_start(session, window_len, hop)
-    cmap = coherence(cwt(session.hip, bank), cwt(session.nac, bank),
-                     smoothing)
+    cmap = whole_coherence(cwt(session.hip, bank), cwt(session.nac, bank),
+                           smoothing)
     valid = cmap.valid_mask() & np.isfinite(cmap.phase)
     coh = cmap.coherence
     sin = np.where(valid, np.sin(cmap.phase), 0.0)

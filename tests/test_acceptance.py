@@ -18,14 +18,15 @@ from wavescat.classify import (ConfusionMatrix, Dataset, KFoldJob,
                                run_kfold, train_svm_ova, train_tree,
                                tree_complexity)
 from wavescat.cli import main
-from wavescat.coherence import SmoothingSpec, coherence
-from wavescat.cwt import Scalogram, cwt
+from wavescat.coherence import SmoothingSpec, coherence_map
+from wavescat.cwt import cwt
 from wavescat.morse import MorseParams, build_filterbank, morse_hat, \
     peak_frequency
 from wavescat.scattering import ScatteringParams, feature_matrix
 
 from figdata import CLASS_NAMES, COUNTS, PRINTED_MACRO, PRINTED_TPR
-from oracles import direct_cwt, layer_energies, numeric_peak
+from oracles import (direct_cwt, held_scalogram, layer_energies,
+                     numeric_peak)
 
 FS = 1000.0
 
@@ -113,8 +114,7 @@ def test_criterion_2_morse_cwt_oracles():
 def random_scalogram(rng, shape=(8, 64)):
     coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     scale_axis = 100.0 * 2.0 ** (-np.arange(shape[0]) / 4.0)
-    return Scalogram(coeff, scale_axis, np.arange(shape[1]) / FS, FS,
-                     np.zeros(shape[1]))
+    return held_scalogram(coeff, scale_axis, FS)
 
 
 def test_criterion_3_coherence_properties():
@@ -125,7 +125,7 @@ def test_criterion_3_coherence_properties():
     bank = build_filterbank(n, FS, MorseParams(voices_per_octave=6, fmin=4.0))
     rng = np.random.default_rng(3)
     cx = cwt(rng.standard_normal(n), bank)
-    cmap = coherence(cx, cx, SmoothingSpec())
+    cmap = coherence_map(cx, cx, SmoothingSpec())
     defined = cmap.coherence > 0
     checks["self_coherence_1e-9"] = bool(
         np.abs(cmap.coherence[defined] - 1.0).max() < 1e-9)
@@ -134,7 +134,7 @@ def test_criterion_3_coherence_properties():
     for seed in range(1000):
         r = np.random.default_rng(seed)
         a, b = random_scalogram(r), random_scalogram(r)
-        m = coherence(a, b, SmoothingSpec(c_t=0.7, c_s=0.75)).coherence
+        m = coherence_map(a, b, SmoothingSpec(c_t=0.7, c_s=0.75)).coherence
         lo, hi = min(lo, float(m.min())), max(hi, float(m.max()))
     checks["bounds_1000_fuzz"] = lo >= 0.0 and hi <= 1.0 + 1e-12
 
@@ -147,7 +147,7 @@ def test_criterion_3_coherence_properties():
         r = np.random.default_rng(seed)
         x = clean + 0.05 * r.standard_normal(4096)
         y = np.roll(clean, delay) + 0.05 * r.standard_normal(4096)
-        cm = coherence(cwt(x, big), cwt(y, big), SmoothingSpec())
+        cm = coherence_map(cwt(x, big), cwt(y, big), SmoothingSpec())
         j = int(np.argmin(np.abs(cm.scale_axis - 8.0)))
         phases = cm.phase[j, 1000:3000]
         mean_phase = np.arctan2(np.sin(phases).mean(),
@@ -163,7 +163,7 @@ def test_criterion_3_coherence_properties():
         r = np.random.default_rng(1000 + seed)
         ca = cwt(r.standard_normal(1024), small)
         cb = cwt(r.standard_normal(1024), small)
-        cm = coherence(ca, cb, spec)
+        cm = coherence_map(ca, cb, spec)
         means.append(float(cm.coherence[cm.valid_mask()].mean()))
     checks["noise_mean_below_0.5"] = float(np.mean(means)) < 0.5
     checks["runtime_2min"] = time.time() - start < 120.0

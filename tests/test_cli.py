@@ -194,7 +194,7 @@ def test_a_scattering_gamma_of_zero_exits_3_with_one_line(
 
 
 @pytest.mark.parametrize("argv", [["joint", "--seed", "1"],
-                                  ["features", "scatter", "--fmin", "1"]])
+                                  ["features", "scatter"]])
 def test_a_scattering_band_below_one_over_t_exits_3_naming_fmax_and_t(
         tmp_path, small_cohort, capsys, argv):
     out = tmp_path / "out"
@@ -661,6 +661,54 @@ def test_unreadable_stats_file_exits_3_naming_it(tmp_path, capsys, content):
                  "--out", str(tmp_path / "out"), "--seed", "0"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and str(counts) in err[0]
+
+
+IGNORED_BY_KIND = {
+    "cwt": ["--c-t", "--c-s", "--t", "--q1", "--q2"],
+    "wcoh": ["--channel", "--t", "--q1", "--q2"],
+    "scatter": ["--channel", "--fmin", "--voices", "--tb", "--c-t", "--c-s"],
+}
+
+
+@pytest.mark.parametrize("kind, flag", [
+    (kind, flag) for kind, flags in IGNORED_BY_KIND.items()
+    for flag in flags])
+def test_a_features_flag_the_kind_ignores_exits_2(tmp_path, capsys, kind,
+                                                  flag):
+    """Given as a flag, an option that the kind would not read is refused,
+    naming the flag and the kind; a config file may still set it, since
+    one file serves every kind and command."""
+    value = "nac" if flag == "--channel" else "5"
+    with pytest.raises(SystemExit) as exc:
+        main(["features", kind, "--data", "d", "--out",
+              str(tmp_path / "out"), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == (f"wavescat features: error: {flag} does not apply to "
+                   f"features {kind}\n")
+    assert not (tmp_path / "out").exists()
+    key = flag[2:].replace("-", "_")
+    args = build_parser().parse_args(["features", kind, "--data", "d",
+                                      "--out", "o"])
+    Config(args, {key: (value, "run.conf line 1")})
+
+
+@pytest.mark.parametrize("kind", sorted(IGNORED_BY_KIND))
+def test_every_features_flag_a_kind_accepts_is_read(
+        tmp_path, single_chamber_session, kind):
+    """A kind's config line, which records each option the run reads,
+    names every features flag that the kind accepts."""
+    data = tmp_path / "data"
+    data.mkdir()
+    save_session(single_chamber_session, data / "rat1_food_post.wscat")
+    out = tmp_path / "out"
+    assert main(["features", kind, "--data", str(data), "--out", str(out),
+                 "--window", "5", "--hop", "5"]) == 0
+    read = {f"--{key.replace('_', '-')}" for key in config_values(out)}
+    accepted = {opt.flag for opt in OPTIONS.values()
+                if "features" in opt.commands}
+    assert read == accepted - set(IGNORED_BY_KIND[kind]) - {
+        "--seed", "--data", "--out"}
 
 
 def test_library_defaults_match_the_cli():

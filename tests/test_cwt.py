@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wavescat import morse
 from wavescat.cwt import cwt, scalogram_to_csv
 from wavescat.errors import DataError
 from wavescat.morse import MorseParams, build_filterbank, next_pow2
@@ -89,9 +90,29 @@ def test_shift_covariance():
 def test_magnitude_views():
     bank = small_bank()
     s = cwt(np.zeros(256), bank)
-    assert np.all(np.abs(s.coefficients) == 0)
-    s.coefficients[0, 0] = 3.0 + 4.0j
-    assert np.abs(s.coefficients)[0, 0] == pytest.approx(5.0)
+    coeff = s.coefficients
+    assert np.all(np.abs(coeff) == 0)
+    coeff[0, 0] = 3.0 + 4.0j
+    assert np.abs(coeff)[0, 0] == pytest.approx(5.0)
+    assert np.all(s.coefficients == 0)    # every access forms them anew
+
+
+@pytest.mark.parametrize("n_sig", [200, 256])
+def test_rows_in_blocks_equal_the_whole_transform_bitwise(monkeypatch,
+                                                          n_sig):
+    """Three voices a block, the rows equal one 2-D ifft of the padded
+    spectrum against every filter, truncated to the signal."""
+    monkeypatch.setattr(morse, "SCALE_BLOCK_BYTES", 3 * 16 * 256)
+    bank = small_bank(n=256, voices=6)
+    x = np.random.default_rng(9).standard_normal(n_sig)
+    s = cwt(x, bank)
+    assert s.blocks == bank.row_blocks()
+    assert [b - a for a, b in s.blocks] == [3] * 7 + [1]
+    padded = np.concatenate([x, np.zeros(256 - n_sig)])
+    whole = np.fft.ifft(np.fft.fft(padded)[None, :] * bank.filters,
+                        axis=1)[:, :n_sig]
+    got = np.concatenate([s.rows(a, b) for a, b in s.blocks])
+    assert got.tobytes() == whole.tobytes()
 
 
 def test_impulse_row_l1_norm_matches_quadrature():

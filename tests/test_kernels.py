@@ -21,10 +21,24 @@ def random_complex(seed, shape=(7, 48)):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def scale_smoothed(mat, width, block):
+    """``boxcar_scale`` fed ``block`` rows of ``mat`` at a time, its
+    output blocks put back together, each checked to start where the
+    last ended."""
+    feed = ((mat[a:a + block],) for a in range(0, len(mat), block))
+    parts, row = [], 0
+    for start, (part,) in boxcar_scale(feed, len(mat), width):
+        assert start == row
+        parts.append(part)
+        row += len(part)
+    assert row == len(mat)
+    return np.concatenate(parts)
+
+
 def test_numpy_boxcars_match_brute_force():
     mat = random_complex(0)
     widths = [1, 2, 3, 5, 7, 9, 48]
-    got = boxcar_scale(boxcar_time(mat, np.array(widths)), 3)
+    got = scale_smoothed(boxcar_time(mat, np.array(widths)), 3, 2)
     expected = brute_force_smooth(mat, widths, 3)
     assert np.abs(got - expected).max() < 1e-12
 
@@ -60,13 +74,35 @@ def test_time_boxcar_memory_does_not_grow_with_the_width():
 
 
 def test_scale_boxcar_equals_concatenating_kernel_bitwise():
+    """Streamed in blocks narrower and wider than the boxcar, every row
+    equals the whole-matrix concatenating kernel's bit for bit."""
     m = 7
     for mat in (random_complex(3, (m, 40)), random_complex(4, (m, 40)).real):
         for width in range(1, m + 3):
-            got = boxcar_scale(mat, width)
             expected = boxcar_scale_concatenated(mat, width)
-            assert got.dtype == expected.dtype
-            assert got.tobytes() == expected.tobytes()
+            for block in (1, 2, 3, m):
+                got = scale_smoothed(mat, width, block)
+                assert got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes()
+
+
+def test_scale_boxcar_keeps_a_ring_of_width_plus_one_rows():
+    """Fed one row at a time, the kernel holds its width + 1 cumulative
+    rows, at most the width // 2 + 1 rows it finishes at the last input
+    row, and a few row temporaries, however many of the 400 rows have
+    passed through."""
+    rng = np.random.default_rng(6)
+    row = rng.standard_normal(4000)
+    for width in (3, 9):
+        tracemalloc.start()
+        try:
+            for _ in boxcar_scale(((row[None, :],) for _ in range(400)),
+                                  400, width):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (width + 1 + width // 2 + 1 + 4) * row.nbytes
 
 
 def test_split_respects_min_leaf():

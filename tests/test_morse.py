@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavescat import morse
 from wavescat.errors import DataError
 from wavescat.morse import (MorseParams, build_filterbank, morse_hat,
                             peak_frequency)
@@ -181,3 +184,18 @@ def test_efold_times_equal_the_per_voice_scan_bitwise(n, fs, params, voices,
     got, expected = bank.efold_times(), efold_times_by_voice(bank)
     assert got.dtype == expected.dtype
     assert got.tobytes() == expected.tobytes()
+
+
+def test_efold_times_peak_memory_is_bounded():
+    """The filters go to the time domain a block of rows at a time, so
+    the e-fold scan's peak stays under 3 x ``SCALE_BLOCK_BYTES`` (a
+    block's complex input and output and its magnitudes), about 0.3 of
+    the 67 x 32768 filter array; one whole ifft took 4 filter arrays."""
+    bank = build_filterbank(32768, 250.0, MorseParams())
+    tracemalloc.start()
+    try:
+        bank.efold_times()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * morse.SCALE_BLOCK_BYTES

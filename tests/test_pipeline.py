@@ -116,24 +116,61 @@ def test_wcoh_table_equals_per_window_oracle(drawn):
                                   SmoothingSpec()), rows)
 
 
-def test_wcoh_table_peak_memory_is_bounded():
-    """Two compact scalograms, the smoothing and the window sums of one
-    session stay within 7.5 complex scalograms, which leaves no room for
-    a padded transform or a second cumulative sum in the scale boxcar."""
-    n, fs = 20_000, 250.0
+LONG_N, LONG_FS = 20_000, 250.0
+
+
+def _table_peak(table, params, smoothing=None):
+    """The tracemalloc peak of one ``cwt_table`` (HIP) or ``wcoh_table``
+    on an 80 s, 250 Hz session, above its bank, built before tracing."""
     rng = np.random.default_rng(8)
-    session = make_session(rng.standard_normal(n), rng.standard_normal(n),
-                           fs=fs, track=[(0.0, 0), (30.0, 2)])
-    params = MorseParams()
-    bank = params.bank(n, fs)             # built before tracing
-    scalogram_bytes = bank.n_scales * n * np.dtype(np.complex128).itemsize
+    session = make_session(rng.standard_normal(LONG_N),
+                           rng.standard_normal(LONG_N), fs=LONG_FS,
+                           track=[(0.0, 0), (30.0, 2)])
+    params.bank(LONG_N, LONG_FS)
+    args = ((Channel.HIP, 1.0, 0.5, params) if table is cwt_table
+            else (1.0, 0.5, params, smoothing))
     tracemalloc.start()
     try:
-        wcoh_table([session], 1.0, 0.5, params, SmoothingSpec())
+        table([session], *args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 7.5 * scalogram_bytes
+    return peak
+
+
+def test_wcoh_table_peak_memory_is_bounded():
+    """The coherence of one session holds a few blocks of scale rows at
+    once: its peak stays under 12 x ``SCALE_BLOCK_BYTES`` plus the scale
+    boxcar's three rings of sw + 1 = 7 rows (one complex, two real).
+    That is about 1.4 compact complex scalograms of this session; whole
+    matrices took 7.1."""
+    params = MorseParams()
+    peak = _table_peak(wcoh_table, params, SmoothingSpec())
+    rings = 7 * LONG_N * (16 + 8 + 8)
+    assert peak <= 12 * morse.SCALE_BLOCK_BYTES + rings
+
+
+def test_cwt_table_peak_memory_is_bounded():
+    """One channel's rows are formed and reduced a block at a time: the
+    peak stays under 3 x ``SCALE_BLOCK_BYTES`` plus four complex rows at
+    the padded length (the spectrum and the window sums' temporaries),
+    about 0.4 compact scalograms; whole matrices took 3.3."""
+    params = MorseParams()
+    padded_row = 16 * params.bank(LONG_N, LONG_FS).n
+    peak = _table_peak(cwt_table, params)
+    assert peak <= 3 * morse.SCALE_BLOCK_BYTES + 4 * padded_row
+
+
+@pytest.mark.parametrize("table", [cwt_table, wcoh_table])
+def test_table_peak_memory_does_not_grow_with_the_scales(table):
+    """Twice the voices, 133 scales against 67, raise a table's peak by
+    under 10 %, where whole matrices doubled it. The wcoh table keeps
+    the scale boxcar 6 rows wide (c_s 0.6 octave at 10 voices, 0.3 at
+    20), since its rings grow with that width, not with the scales."""
+    peaks = [_table_peak(table, MorseParams(voices_per_octave=voices),
+                         SmoothingSpec(c_s=c_s))
+             for voices, c_s in ((10, 0.6), (20, 0.3))]
+    assert peaks[1] < 1.1 * peaks[0]
 
 
 def _labels(table):

@@ -98,6 +98,16 @@ RUNS = [
     # at the default --t 0.5) is refused before any transform (exit 3)
     ("A", "joint --seed 1 --fmax 1.5"),
     ("A", "features scatter --fmax 1.5"),
+    # the transforms stream blocks of scale rows (4 rows at cohort A's
+    # 32768-point bank, 16 at cohort B's 8192): a scale boxcar of 12
+    # rows across three blocks, one of 30 rows across two, and 153
+    # scales ending in a part block
+    ("A", "features wcoh --voices 20"),
+    ("B", "report --c-s 3"),
+    ("A", "features cwt --voices 20 --fmin 0.5"),
+    # a features flag that the kind does not read is refused (exit 2)
+    ("A", "features scatter --fmin 5"),
+    ("A", "features cwt --c-s 0.8"),
 ]
 
 TOKEN = "<RUN>"
